@@ -13,6 +13,12 @@ transport (fast for large classes) or by choosing the class of the first
 coordinate with centralizer-times-factorization weights (fast for classes
 near the identity). Both routes are exactly uniform; the estimated trial
 counts only pick which one runs.
+
+At genus >= 3 each middle block first draws a class pair: its own class and
+the class of the product after it. The cumulative table for that draw is
+built once per (class of the product so far, blocks left) from integer dot
+products of dense character rows, and its total must equal the plan's block
+count for that class.
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod, sqrt
+from operator import mul
 
 from .characters import (
     CharacterTable,
     commutator_count,
-    factorization_count,
     get_table,
     hom_count,
 )
@@ -477,7 +483,7 @@ class SamplerPlan:
             for chi_row in self.chi_matrix
         ]
         self._fiber_rows: dict[int, tuple[list[int], int]] = {}
-        self._mid_slabs: dict[int, list[list[int]]] = {}
+        self._mid_draws: dict[tuple[int, int], tuple[list[int], array]] = {}
         self._lock = threading.Lock()
 
     # -- lazy weight rows ---------------------------------------------------
@@ -509,22 +515,49 @@ class SamplerPlan:
                 self._fiber_rows[sigma_class] = row
             return row
 
-    def mid_slab(self, r_class: int) -> list[list[int]]:
-        """factorization_count(k_u, k_s, r_class) for every class pair."""
+    def mid_draw(self, r_class: int, remaining: int):
+        """Cumulative weights over class pairs (u, s) for the next mid block,
+        given a partial product in class r_class and `remaining` blocks after
+        it. Returns (cum, pairs); pairs[i] is the flat index u * p + s of the
+        i-th positive weight, in u-major order."""
+        key = (r_class, remaining)
         with self._lock:
-            slab = self._mid_slabs.get(r_class)
-            if slab is None:
-                parts = self.table.partitions
-                r_mu = parts[r_class]
-                slab = [
-                    [
-                        factorization_count(parts[u], parts[s], r_mu)
-                        for s in range(len(parts))
-                    ]
-                    for u in range(len(parts))
-                ]
-                self._mid_slabs[r_class] = slab
-            return slab
+            draw = self._mid_draws.get(key)
+            if draw is None:
+                chi = self.chi_matrix
+                p = len(chi)
+                sizes = self.table.class_sizes
+                completions = self.block_counts[remaining]
+                square = self.n_factorial**2
+                # F(u, s, r) = |K_u| |K_s| sum_l chi_l(u) chi_l(s) chi_l(r) h_l / (n!)^2
+                v = [c * h for c, h in zip(chi[r_class], self.table.hook_products)]
+                cum: list[int] = []
+                pairs = array("I")
+                total = 0
+                for u in range(p):
+                    n_u = self.pair_counts[u]
+                    if n_u == 0:
+                        continue
+                    w = [c * x for c, x in zip(chi[u], v)]
+                    for s in range(p):
+                        scaled = sizes[u] * sizes[s] * sum(map(mul, w, chi[s]))
+                        q, r = divmod(scaled, square)
+                        if r or q < 0:
+                            raise ArithmeticError(
+                                "factorization count is not a non-negative integer"
+                            )
+                        weight = n_u * q * completions[s]
+                        if weight > 0:
+                            total += weight
+                            cum.append(total)
+                            pairs.append(u * p + s)
+                if total != self.block_counts[remaining + 1][r_class]:
+                    raise ArithmeticError(
+                        "mid-block weights disagree with the block count"
+                    )
+                draw = (cum, pairs)
+                self._mid_draws[key] = draw
+            return draw
 
     # -- strategy estimates ---------------------------------------------------
 
@@ -679,24 +712,16 @@ def sample_hom(plan: SamplerPlan, seed) -> HomPoint:
 
 def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng):
     """Value of the next commutator block given the product so far, for chains
-    with at least two free blocks remaining."""
+    with at least two free blocks remaining.
+
+    The class pair (u, s) is drawn from `plan.mid_draw`, where u is the class
+    of the block and s the class of the product after it; the block is then
+    placed by rejection from uniform elements of class u.
+    """
     parts = plan.table.partitions
     r_class = plan.class_index[cycle_type(partial)]
-    slab = plan.mid_slab(r_class)
-    completions = plan.block_counts[remaining]
-    weights = []
-    pairs = []
-    for u in range(len(parts)):
-        n_u = plan.pair_counts[u]
-        if n_u == 0:
-            continue
-        for s in range(len(parts)):
-            w = n_u * slab[u][s] * completions[s]
-            if w > 0:
-                weights.append(w)
-                pairs.append((u, s))
-    cum = list(itertools.accumulate(weights))
-    u_idx, s_idx = pairs[_draw_class(cum, cum[-1], rng)]
+    cum, pairs = plan.mid_draw(r_class, remaining)
+    u_idx, s_idx = divmod(pairs[_draw_class(cum, cum[-1], rng)], len(parts))
     mu_u, mu_s = parts[u_idx], parts[s_idx]
     while True:
         u = uniform_in_class(mu_u, plan.n, rng)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
 MIN_GENUS = 2
@@ -188,6 +188,7 @@ def dehn_reduce(w: Word) -> Word:
         letters = list(_reduce_letters(letters))
 
 
+@cache
 def is_identity(w: Word) -> bool:
     return len(dehn_reduce(w)) == 0
 

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from surfcover.characters import commutator_count, hom_count
+from surfcover.characters import commutator_count, factorization_count, hom_count
 from surfcover.homspace import (
     BudgetExceededError,
     Seed,
@@ -17,6 +18,7 @@ from surfcover.homspace import (
     generator_fix_expectation,
     generator_spec_expectation,
     get_buckets,
+    get_sampler,
     monte_carlo_expectation,
     run_sampled_stats,
     sample_hom,
@@ -298,6 +300,64 @@ def test_sampler_genus_three_block_marginals_match_enumeration():
         sd = (n_samples * p * (1 - p)) ** 0.5
         assert abs(sampled.get(key, 0) - n_samples * p) < 5 * sd + 1
     assert set(sampled) <= set(exact)
+
+
+def _mid_draw_reference(plan, r_class, remaining):
+    """The mid-block draw table built from factorization_count, pair by pair."""
+    parts = plan.table.partitions
+    completions = plan.block_counts[remaining]
+    weights, pairs = [], []
+    for u, n_u in enumerate(plan.pair_counts):
+        if n_u == 0:
+            continue
+        for s in range(len(parts)):
+            count = factorization_count(parts[u], parts[s], parts[r_class])
+            weight = n_u * count * completions[s]
+            if weight > 0:
+                weights.append(weight)
+                pairs.append((u, s))
+    return list(itertools.accumulate(weights)), pairs
+
+
+@pytest.mark.parametrize("n,genus", [(5, 3), (7, 3), (6, 4)])
+def test_mid_draw_matches_factorization_count_reference(n, genus):
+    plan = build_sampler(n, genus)
+    p = len(plan.table.partitions)
+    for remaining in range(1, genus - 1):
+        for r_class in range(p):
+            cum, pairs = plan.mid_draw(r_class, remaining)
+            ref_cum, ref_pairs = _mid_draw_reference(plan, r_class, remaining)
+            assert cum == ref_cum
+            assert [divmod(i, p) for i in pairs] == ref_pairs
+            assert (cum[-1] if cum else 0) == plan.block_counts[remaining + 1][r_class]
+
+
+# sha256 of repr([h.images for the first k points of Seed(3), stream 0]); a
+# change to any seeded stream at genus 3 to 5 changes one of these digests.
+GOLDEN_STREAMS = [
+    (6, 4, 200, "bac329c55013487bcb6b80e7d8e398b0ee77ea55175ed8661be05f0027f4c551"),
+    (8, 3, 300, "b3eb9c004c4328fdd5d901347bd19c41751eb29d7c62612d22cdb05983aa15ef"),
+    (7, 5, 100, "199c2c8b5d95472541bb11e67773512c35db004a50aef97b24b3cb6a4ceb7322"),
+]
+
+
+@pytest.mark.parametrize("n,genus,k,digest", GOLDEN_STREAMS)
+def test_sample_hom_golden_stream(n, genus, k, digest):
+    plan = get_sampler(n, genus)
+    rng = stream_for(Seed(3), 0)
+    images = [sample_hom(plan, rng).images for _ in range(k)]
+    assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
+
+
+def test_sampler_mean_matches_exact_marginal_genus_four():
+    # genus 4 is the first genus whose chain draws a mid block with two blocks after it
+    plan = build_sampler(5, 4)
+    a1 = w("a1", 4)
+    stats = run_sampled_stats(
+        plan, {"f": lambda h: fixed_points(h, a1)}, 4000, 4
+    )
+    exact = float(generator_fix_expectation(5, 4))
+    assert abs(stats.mean("f") - exact) < 4 * stats.stderr("f")
 
 
 def test_monte_carlo_constant_observable():
