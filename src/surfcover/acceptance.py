@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite, sqrt
+from operator import mul
 
 from .characters import class_size, commutator_count, get_table, hom_count
 from .homspace import (
@@ -212,14 +213,12 @@ def criterion_characters(ctx: AcceptanceContext) -> CriterionResult:
     )
     ortho_ok = True
     for n in range(1, 9):
-        t = get_table(n)
+        t = get_table(n).freeze()
         nf = factorial(n)
-        for i, lam in enumerate(t.partitions):
-            for j, lam2 in enumerate(t.partitions):
-                inner = sum(
-                    size * t.chi(lam, mu) * t.chi(lam2, mu)
-                    for mu, size in zip(t.partitions, t.class_sizes)
-                )
+        rows = list(zip(*t.matrix))
+        for i, row in enumerate(rows):
+            for j, row2 in enumerate(rows):
+                inner = sum(map(mul, map(mul, t.class_sizes, row), row2))
                 if inner != (nf if i == j else 0):
                     ortho_ok = False
     dims_ok = all(

@@ -7,15 +7,18 @@ counting formulas cancel catastrophically in floats.
 Character values come from the signed border-strip recursion, driven by
 first-column hook lengths (beta numbers): removing a strip of length L from a
 shape with beta set B means replacing some b in B by b - L when b - L is
-fresh, with sign (-1)^(number of beta values jumped over).
+fresh, with sign (-1)^(number of beta values jumped over). A table's values
+are built all at once, on first use, as a dense class-major matrix; a table
+of more than MAX_TABLE_ENTRIES entries is refused with BudgetExceededError
+before anything is built.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial
+from operator import mul
 
 Partition = tuple[int, ...]
 
@@ -114,11 +117,36 @@ def _strip_removals(lam: Partition, length: int):
         yield parts, (-1 if jumped % 2 else 1)
 
 
-class CharacterTable:
-    """Memoized character values for one symmetric group.
+class BudgetExceededError(RuntimeError):
+    """Predicted work exceeds the configured budget; nothing was truncated."""
 
-    Values fill in lazily; freeze() materializes the full table, after which
-    the object is read-only and safe to share across threads.
+
+# p(n)^2 entries admitted by freeze(): n = 28 (13,823,524 entries) builds,
+# and a genus-2 plan on it peaks near 780 MB; n = 29 (20,839,225 entries)
+# is refused.
+MAX_TABLE_ENTRIES = 16_000_000
+
+
+@lru_cache(maxsize=None)
+def _removals(m: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each partition of m, by index: (index in partitions(m - k), sign)
+    for each of its border strips of length k."""
+    smaller = {lam: i for i, lam in enumerate(_partitions(m - k, m - k))}
+    return tuple(
+        tuple((smaller[rest], sign) for rest, sign in _strip_removals(lam, k))
+        for lam in _partitions(m, m)
+    )
+
+
+class CharacterTable:
+    """Exact character values of one symmetric group.
+
+    ``matrix[class][irrep]`` holds every value, indexed by position in
+    ``partitions``. It is built all at once by freeze() (which chi() calls
+    on first use) and is read-only afterwards. freeze() refuses a table of
+    more than MAX_TABLE_ENTRIES entries with BudgetExceededError before
+    building anything; the dimensions, hook products and class sizes need
+    no values and are always available.
     """
 
     def __init__(self, n: int):
@@ -133,61 +161,79 @@ class CharacterTable:
         self.centralizer_sizes = tuple(
             centralizer_size(mu) for mu in self.partitions
         )
-        self._memo: dict[tuple[Partition, Partition], int] = {}
-        self._frozen = False
-        self._lock = threading.Lock()
+        self.matrix: tuple[tuple[int, ...], ...] | None = None
 
     def chi(self, lam: Partition, mu: Partition) -> int:
         """Exact character value of the irreducible `lam` on the class `mu`."""
         if sum(lam) != sum(mu):
             raise ValueError("partition sizes differ")
-        return self._chi(tuple(lam), tuple(mu))
+        return self.column(sorted(mu, reverse=True))[self.index[tuple(lam)]]
 
-    def _chi(self, lam: Partition, mu: Partition) -> int:
-        key = (lam, mu)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        if self._frozen:
-            raise AssertionError("frozen table is missing an entry")
-        if not mu:
-            memo[key] = 1
-            return 1
-        total = 0
-        rest = mu[1:]
-        for smaller, sign in _strip_removals(lam, mu[0]):
-            total += sign * self._chi(smaller, rest)
-        memo[key] = total
-        return total
+    def column(self, mu: Partition) -> tuple[int, ...]:
+        """Values of every irreducible on the class `mu`, in partition order."""
+        return self.freeze().matrix[self.index[tuple(mu)]]
 
     def row(self, lam: Partition) -> tuple[int, ...]:
-        return tuple(self.chi(lam, mu) for mu in self.partitions)
+        l = self.index[tuple(lam)]
+        return tuple(column[l] for column in self.freeze().matrix)
 
     def freeze(self) -> "CharacterTable":
-        with self._lock:
-            if not self._frozen:
-                for lam in self.partitions:
-                    for mu in self.partitions:
-                        self._chi(lam, mu)
-                self._frozen = True
+        """Build the matrix if it is not built yet; returns the table."""
+        if self.matrix is None:
+            entries = len(self.partitions) ** 2
+            if entries > MAX_TABLE_ENTRIES:
+                raise BudgetExceededError(
+                    f"character table of S_{self.n} has {entries} entries, "
+                    f"over the limit of {MAX_TABLE_ENTRIES}"
+                )
+            matrix = self._columns()
+            if matrix[self.index[(1,) * self.n]] != self.dims:
+                raise ArithmeticError("identity column differs from the dimensions")
+            self.matrix = matrix
         return self
+
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Murnaghan-Nakayama over class suffixes, in one depth-first pass.
+
+        A suffix is the tail of a class partition; parts are added smallest
+        first, so a suffix of size m whose largest part is k extends only by
+        parts >= k. Its vector holds its values over partitions(m), and a
+        child's vector is a signed sum of the parent's over the strip
+        removals of the added part. Suffixes of size n are the columns.
+        """
+        n = self.n
+        columns: list = [None] * len(self.partitions)
+
+        def visit(suffix: Partition, size: int, values: list[int]) -> None:
+            if size == n:
+                columns[self.index[suffix]] = tuple(values)
+                return
+            for k in range(suffix[0] if suffix else 1, n - size + 1):
+                left = n - size - k
+                if 0 < left < k:  # no room for a later part >= k
+                    continue
+                child = []
+                for strips in _removals(size + k, k):
+                    total = 0
+                    for j, sign in strips:
+                        if sign > 0:
+                            total += values[j]
+                        else:
+                            total -= values[j]
+                    child.append(total)
+                visit((k,) + suffix, size + k, child)
+
+        visit((), 0, [1])
+        return tuple(columns)
 
     @property
     def frozen(self) -> bool:
-        return self._frozen
+        return self.matrix is not None
 
 
-_tables: dict[int, CharacterTable] = {}
-_tables_lock = threading.Lock()
-
-
+@cache
 def get_table(n: int) -> CharacterTable:
-    with _tables_lock:
-        table = _tables.get(n)
-        if table is None:
-            table = CharacterTable(n)
-            _tables[n] = table
-        return table
+    return CharacterTable(n)
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -233,9 +279,7 @@ def commutator_count(n: int, mu: Partition) -> int:
     if sum(mu) != n:
         raise ValueError("class partition must have size n")
     table = get_table(n)
-    total = sum(
-        table.chi(lam, mu) * h for lam, h in zip(table.partitions, table.hook_products)
-    )
+    total = sum(map(mul, table.column(mu), table.hook_products))
     if total < 0:
         raise ArithmeticError(f"negative commutator count for {mu!r}")
     return total
@@ -250,8 +294,7 @@ def g_commutator_product_count(n: int, genus: int, mu: Partition) -> int:
         raise ValueError("class partition must have size n")
     table = get_table(n)
     total = sum(
-        table.chi(lam, mu) * h ** (2 * genus - 1)
-        for lam, h in zip(table.partitions, table.hook_products)
+        c * h ** (2 * genus - 1) for c, h in zip(table.column(mu), table.hook_products)
     )
     if total < 0:
         raise ArithmeticError(f"negative tuple count for {mu!r}")
@@ -270,10 +313,10 @@ def factorization_count(kappa1: Partition, kappa2: Partition, sigma: Partition) 
     if sum(kappa2) != n or sum(sigma) != n:
         raise ValueError("classes must share one n")
     table = get_table(n)
-    total = sum(
-        table.chi(lam, kappa1) * table.chi(lam, kappa2) * table.chi(lam, sigma) * h
-        for lam, h in zip(table.partitions, table.hook_products)
+    columns = zip(
+        table.column(kappa1), table.column(kappa2), table.column(sigma), table.hook_products
     )
+    total = sum(a * b * c * h for a, b, c, h in columns)
     scaled = class_size(kappa1) * class_size(kappa2) * total
     q, r = divmod(scaled, factorial(n) ** 2)
     if r or q < 0:

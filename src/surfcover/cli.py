@@ -247,13 +247,13 @@ def run_command(args) -> tuple[bytes, int]:
         return emit_report(report, fmt), code
 
     if args.command == "characters":
-        table = get_table(_require_n(args))
+        table = get_table(_require_n(args)).freeze()
         labels = ["+".join(str(p) for p in mu) or "0" for mu in table.partitions]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["partition"] + labels)
-        for lam, label in zip(table.partitions, labels):
-            writer.writerow([label] + [table.chi(lam, mu) for mu in table.partitions])
+        for label, row in zip(labels, zip(*table.matrix)):
+            writer.writerow([label, *row])
         return buf.getvalue().encode(), 0
 
     if args.command == "zeta":

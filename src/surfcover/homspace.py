@@ -37,6 +37,7 @@ from math import factorial, prod, sqrt
 from operator import mul
 
 from .characters import (
+    BudgetExceededError,
     CharacterTable,
     commutator_count,
     get_table,
@@ -58,10 +59,6 @@ from .perms import (
 PAIR_MATERIALIZE_LIMIT = 7
 COUNT_ONLY_LIMIT = 9
 DEFAULT_MAX_VISITS = 10**9
-
-
-class BudgetExceededError(RuntimeError):
-    """Predicted work exceeds the configured budget; nothing was truncated."""
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +358,12 @@ def generator_fix_expectation(n: int, genus: int) -> Fraction:
     hook-product power matching the genus; this gives a closed form that
     cross-checks both enumeration and sampling.
     """
-    table = get_table(n)
+    table = get_table(n).freeze()
+    powers = [h ** (2 * genus - 2) for h in table.hook_products]
     weights_total = 0
     fix_total = 0
-    for kappa, kappa_size in zip(table.partitions, table.class_sizes):
-        w = sum(
-            table.chi(lam, kappa) ** 2 * h ** (2 * genus - 2)
-            for lam, h in zip(table.partitions, table.hook_products)
-        )
+    for kappa, kappa_size, column in zip(table.partitions, table.class_sizes, table.matrix):
+        w = sum(c * c * p for c, p in zip(column, powers))
         fixed = sum(1 for part in kappa if part == 1)
         weights_total += kappa_size * w
         fix_total += kappa_size * fixed * w
@@ -405,18 +400,18 @@ def generator_spec_expectation(n: int, genus: int, spec: ObservableSpec) -> Frac
         handles.append(group.word.letters[0][0] // 2)
     if len(set(handles)) != len(handles):
         raise ValueError("two groups watch generators of one handle")
-    table = get_table(n)
+    table = get_table(n).freeze()
     values = [
         [_class_value(group, kappa) for kappa in table.partitions] for group in spec.groups
     ]
     # Per irreducible: sum over classes of |K| chi^2 (weight) and of |K| chi^2 f (sums).
     weights_total = 0
     value_total = 0
-    for lam, h in zip(table.partitions, table.hook_products):
+    for l, h in enumerate(table.hook_products):
         weight = 0
         sums = [0] * len(values)
-        for k, (kappa, size) in enumerate(zip(table.partitions, table.class_sizes)):
-            mass = size * table.chi(lam, kappa) ** 2
+        for k, (column, size) in enumerate(zip(table.matrix, table.class_sizes)):
+            mass = size * column[l] ** 2
             weight += mass
             for i, row in enumerate(values):
                 sums[i] += mass * row[k]
@@ -447,11 +442,8 @@ class SamplerPlan:
         parts = self.table.partitions
         self.class_index = {mu: i for i, mu in enumerate(parts)}
         self.n_factorial = factorial(n)
-        # Dense character matrix indexed [class][irrep]; the table is frozen,
-        # so this is a plain copy kept for tight loops.
-        self.chi_matrix = [
-            [self.table.chi(lam, mu) for lam in parts] for mu in parts
-        ]
+        # Dense character matrix indexed [class][irrep], shared with the table.
+        self.chi_matrix = self.table.matrix
         # M_m[k] = tuples of m commutator blocks multiplying to a fixed element
         # of class k; m = 1 is the plain commutator count.
         hooks = self.table.hook_products
@@ -459,8 +451,7 @@ class SamplerPlan:
         for m in range(1, genus):
             powers = [h ** (2 * m - 1) for h in hooks]
             self.block_counts[m] = tuple(
-                sum(chi_row[l] * powers[l] for l in range(len(parts)))
-                for chi_row in self.chi_matrix
+                sum(map(mul, chi_row, powers)) for chi_row in self.chi_matrix
             )
         self.pair_counts = self.block_counts[1]
         for mu, count in zip(parts, self.pair_counts):
@@ -479,8 +470,7 @@ class SamplerPlan:
             raise ArithmeticError("stage weights do not sum to the point count")
         # chi^2 * hook product per (class, irrep), reused by every fiber row.
         self._chi2h = [
-            [chi_row[l] * chi_row[l] * hooks[l] for l in range(len(parts))]
-            for chi_row in self.chi_matrix
+            [c * c * h for c, h in zip(chi_row, hooks)] for chi_row in self.chi_matrix
         ]
         self._fiber_rows: dict[int, tuple[list[int], int]] = {}
         self._mid_draws: dict[tuple[int, int], tuple[list[int], array]] = {}

@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import time
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 
 from surfcover.characters import (
+    MAX_TABLE_ENTRIES,
+    BudgetExceededError,
     CharacterTable,
     centralizer_size,
     class_size,
@@ -336,3 +341,63 @@ def test_table_freeze():
     t.freeze()
     assert t.frozen
     assert t.chi((2, 2), (2, 2)) == 2
+
+
+def test_table_edge_cases():
+    assert get_table(0).chi((), ()) == 1
+    assert get_table(0).matrix == ((1,),)
+    assert get_table(1).matrix == ((1,),)
+    t = CharacterTable(3)
+    # chi() on an unfrozen table builds the whole table first
+    assert t.chi((2, 1), (1, 2)) == t.chi((2, 1), (2, 1)) == 0
+    assert t.frozen
+    assert t.chi((2, 1), (1, 1, 1)) == 2
+
+
+def test_freeze_checks_identity_column_against_dimensions():
+    t = CharacterTable(4)
+    t.dims = t.dims[:-1] + (2,)
+    with pytest.raises(ArithmeticError):
+        t.freeze()
+    assert not t.frozen
+
+
+# sha256 of repr(tuple(tuple(t.chi(lam, mu) for lam in P) for mu in P)) for
+# P = partitions(n), recorded with the earlier per-entry memoised recursion.
+GOLDEN_TABLES = [
+    (12, "6ad2002c9dd02d2b018230fdbf6c477d679949dcda5e643df6cab8c43aca6e01"),
+    (16, "7d19f1020ecf9f0cb5697ca8fd0704254d2f8537f1f82cc0a44df08aa0937b0e"),
+    (20, "fc83c16e0104f2fc527b0aefa31436f82c17ee5d6e5d67b3be0c1b66e80d5176"),
+]
+
+
+@pytest.mark.parametrize("n,digest", GOLDEN_TABLES)
+def test_golden_tables(n, digest):
+    t = get_table(n)
+    parts = t.partitions
+    values = tuple(tuple(t.chi(lam, mu) for lam in parts) for mu in parts)
+    assert values == t.matrix
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
+
+
+def test_column_orthogonality():
+    t = get_table(16).freeze()
+    for i, column in enumerate(t.matrix):
+        for j, column2 in enumerate(t.matrix):
+            inner = sum(map(mul, column, column2))
+            assert inner == (t.centralizer_sizes[i] if i == j else 0)
+
+
+def test_oversized_table_refused_up_front():
+    assert len(partitions(28)) ** 2 <= MAX_TABLE_ENTRIES < len(partitions(29)) ** 2
+    t = CharacterTable(29)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        t.freeze()
+    with pytest.raises(BudgetExceededError):
+        t.chi((29,), (29,))
+    assert time.perf_counter() - start < 1.0
+    assert not t.frozen
+    # counts that need no character values stay available
+    assert hom_count(29, 2) > 0
+    assert witten_zeta(29, 2) > 1

@@ -1,10 +1,13 @@
 import hashlib
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import surfcover
+from surfcover import characters
 from surfcover.characters import commutator_count, factorization_count, hom_count
 from surfcover.homspace import (
     BudgetExceededError,
@@ -88,6 +91,15 @@ def test_enumerate_budget():
         enumerate_homs(4, 2, lambda h: None, max_visits=1000)
     with pytest.raises(BudgetExceededError):
         exact_expectation(4, 2, f_spec("a1"), max_visits=1000)
+
+
+def test_oversized_plan_refused_up_front():
+    assert BudgetExceededError is characters.BudgetExceededError
+    assert BudgetExceededError is surfcover.BudgetExceededError
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        get_sampler(32, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_visits_distinct_valid_points():
@@ -333,11 +345,13 @@ def test_mid_draw_matches_factorization_count_reference(n, genus):
 
 
 # sha256 of repr([h.images for the first k points of Seed(3), stream 0]); a
-# change to any seeded stream at genus 3 to 5 changes one of these digests.
+# change to any seeded stream at genus 2 to 5 changes one of these digests.
 GOLDEN_STREAMS = [
     (6, 4, 200, "bac329c55013487bcb6b80e7d8e398b0ee77ea55175ed8661be05f0027f4c551"),
     (8, 3, 300, "b3eb9c004c4328fdd5d901347bd19c41751eb29d7c62612d22cdb05983aa15ef"),
     (7, 5, 100, "199c2c8b5d95472541bb11e67773512c35db004a50aef97b24b3cb6a4ceb7322"),
+    (16, 2, 100, "f910e7b199a4f731160f677ead1ba53d92f247ad7d146b0b7abd4986cf9a3926"),
+    (12, 2, 200, "136ceaeba038fa542bbaf8127be90059c893baf7cadc42d0ecd1e0818ca5f163"),
 ]
 
 
