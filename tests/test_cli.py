@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -200,3 +201,46 @@ def test_stdout_write(capsys):
     code = main(["hom-count", "-n", "2", "-g", "2"])
     assert code == 0
     assert capsys.readouterr().out == "16\n"
+
+
+# sha256 of the stdout of fixed-seed runs; any change to a seeded stream, a
+# visit order, a float formula or the output format changes one of these.
+GOLDEN_CLI = [
+    (
+        ["sample", "-n", "9", "-g", "2", "--seed", "5", "--count", "20", "--word", "a1 b2"],
+        "296999d3f8507028f6257c9733122825ac452706b0cf0935c12f39615302af40",
+    ),
+    (
+        ["estimate", "-n", "12", "-g", "2", "--seed", "3", "--samples", "3000",
+         "--spec", 'gamma="a1" exps=[2,3]; delta="a2" exps=[4]'],
+        "04527828365556665e92db0a01cafb522a59dc7c43c7d1112765cbf0a38e4833",
+    ),
+    (
+        # the n=6 row is sampled, so this pins the shard-gap standard error
+        ["verify-independence", "--spec", 'gamma="a1" exps=[1,2]; delta="a2" exps=[1]',
+         "--n-values", "2,3,6", "--budget-visits", "1000", "--samples", "3000", "--seed", "4"],
+        "b517535cb221b0af5b9c4604dae9184215b9ecaf96e6c0ddba6e6ab9c443020f",
+    ),
+    (
+        ["verify-cycles", "-n", "8", "-g", "3", "--seed", "5", "--samples", "2000",
+         "--words", "a1,a2,b3"],
+        "5354443b04187ecbb7895641afb9be0cc390037dd14fb37212188b9eb15c9e68",
+    ),
+    (
+        ["enumerate", "-n", "4", "-g", "2", "--spec", 'gamma="a1 b2" exps=[1,2]; delta="a2" exps=[3]'],
+        "3e7d767324b5439c7bdd79d2fc866fbb56631f4dfe809202f7376dcce1148f9f",
+    ),
+    (
+        ["enumerate", "-n", "3", "-g", "3", "--spec", 'gamma="a1" exps=[1]; delta="b3" exps=[2]'],
+        "5cbbad0e1ea26e0af4585f1b1ac33198a5ca8a4790e4b6161e67b551b43a2c29",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_CLI, ids=[f"{argv[0]}{i}" for i, (argv, _) in enumerate(GOLDEN_CLI)]
+)
+def test_golden_cli_output(argv, digest):
+    out, code = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest
