@@ -105,37 +105,37 @@ class AcceptanceContext:
         stats = self._stats.get(n)
         if stats is not None:
             return stats
-        plan = get_sampler(n, GENUS)
         a1, a2 = self.a1, self.a2
 
-        def make_eval():
-            def evaluate(h):
-                p1 = power_images(h, a1, (1, 2, 3))
-                p2 = power_images(h, a2, (1, 2, 4))
-                f1 = {a: fix_count(p) for a, p in p1.items()}
-                f2 = {a: fix_count(p) for a, p in p2.items()}
-                values = {
-                    "f_a1": f1[1],
-                    "joint15": f1[2] * f1[3] * f2[4],
-                    "g_gamma": f1[2] * f1[3],
-                    "g_delta": f2[4],
-                    "ctrl_joint": f1[1] * f1[2],
-                    "ctrl_2": f1[2],
-                }
-                for d in (1, 2, 3):
-                    values[f"c1_{d}"] = d_cycle_count(p1[1], d)
-                    values[f"c2_{d}"] = d_cycle_count(p2[1], d)
-                return values
-
-            return evaluate
+        def evaluate(h):
+            # One evaluator feeds every name, so power images are computed once.
+            p1 = power_images(h, a1, (1, 2, 3))
+            p2 = power_images(h, a2, (1, 2, 4))
+            f1 = {a: fix_count(p) for a, p in p1.items()}
+            f2 = {a: fix_count(p) for a, p in p2.items()}
+            values = {
+                "f_a1": f1[1],
+                "joint15": f1[2] * f1[3] * f2[4],
+                "g_gamma": f1[2] * f1[3],
+                "g_delta": f2[4],
+                "ctrl_joint": f1[1] * f1[2],
+                "ctrl_2": f1[2],
+            }
+            for d in (1, 2, 3):
+                values[f"c1_{d}"] = d_cycle_count(p1[1], d)
+                values[f"c2_{d}"] = d_cycle_count(p2[1], d)
+            return values
 
         names = (
             ["f_a1", "joint15", "g_gamma", "g_delta", "ctrl_joint", "ctrl_2"]
             + [f"c1_{d}" for d in (1, 2, 3)]
             + [f"c2_{d}" for d in (1, 2, 3)]
         )
-        pairs = [(f"c1_{d1}", f"c2_{d2}") for d1 in (1, 2, 3) for d2 in (1, 2, 3)]
-        stats = _shared_pass(plan, make_eval(), names, pairs, self.samples, (self.seed, n))
+        stats = SampledStats(names, self.samples, 16)
+        for d1 in (1, 2, 3):
+            for d2 in (1, 2, 3):
+                stats.track_pair(f"c1_{d1}", f"c2_{d2}")
+        stats.collect(get_sampler(n, GENUS), evaluate, Seed(self.seed, n))
         self._stats[n] = stats
         return stats
 
@@ -146,22 +146,6 @@ class AcceptanceContext:
             value = generator_fix_expectation(n, GENUS)
             self._exact_f[n] = value
         return value
-
-
-def _shared_pass(plan, evaluate, names, pairs, samples, seed_pair):
-    """One pass where a single evaluator feeds every tracked observable."""
-    seed_value, stream = seed_pair
-    shards = 16
-    stats = SampledStats(names, samples, shards)
-    for nx, ny in pairs:
-        stats.track_pair(nx, ny)
-    per_shard = [samples // shards + (1 if i < samples % shards else 0) for i in range(shards)]
-    seed = Seed(seed_value, stream)
-    for shard, count in enumerate(per_shard):
-        rng = stream_for(seed, shard)
-        for _ in range(count):
-            stats.add(shard, evaluate(sample_hom(plan, rng)))
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -421,23 +405,9 @@ def criterion_independence(ctx: AcceptanceContext) -> CriterionResult:
     limit_ok = limit_product_moment(ctx.spec15).value == 15
     distances = [abs(exact15[n] - 15) for n in SAMPLED_N]
     falling_ok = all(d1 > d2 for d1, d2 in zip(distances, distances[1:]))
-
-    def gap_and_stderr(stats):
-        gap_shards = [
-            j - g * d
-            for j, g, d in zip(
-                stats.shard_means("joint15"),
-                stats.shard_means("g_gamma"),
-                stats.shard_means("g_delta"),
-            )
-        ]
-        gap = stats.mean("joint15") - stats.mean("g_gamma") * stats.mean("g_delta")
-        mean_g = sum(gap_shards) / len(gap_shards)
-        spread = sum((x - mean_g) ** 2 for x in gap_shards) / (len(gap_shards) - 1)
-        return gap, sqrt(spread / len(gap_shards))
-
-    gap16, gap16_se = gap_and_stderr(stats16)
-    gap8, _ = gap_and_stderr(stats8)
+    factors = ("g_gamma", "g_delta")
+    gap16, gap16_se = stats16.gap("joint15", factors)
+    gap8, _ = stats8.gap("joint15", factors)
     gap_ok = abs(gap16) < abs(gap8) or abs(gap16) <= 2 * gap16_se
 
     errors = [(n, float(abs(ctx.exact_generator_mean(n) - 1))) for n in EXACT_N]

@@ -285,22 +285,6 @@ def commutator_count(n: int, mu: Partition) -> int:
     return total
 
 
-def g_commutator_product_count(n: int, genus: int, mu: Partition) -> int:
-    """Tuples (a_1,b_1,...,a_g,b_g) whose commutator product is a fixed element of class mu."""
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
-    mu = check_partition(mu) if mu else ()
-    if sum(mu) != n:
-        raise ValueError("class partition must have size n")
-    table = get_table(n)
-    total = sum(
-        c * h ** (2 * genus - 1) for c, h in zip(table.column(mu), table.hook_products)
-    )
-    if total < 0:
-        raise ArithmeticError(f"negative tuple count for {mu!r}")
-    return total
-
-
 def factorization_count(kappa1: Partition, kappa2: Partition, sigma: Partition) -> int:
     """Number of (x, y) with x in class kappa1, y in class kappa2 and x*y equal
     to a fixed representative of class sigma."""

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import acceptance
-from .characters import get_table, hom_count, witten_zeta
+from .characters import BudgetExceededError, get_table, hom_count, witten_zeta
 from .homspace import (
     DEFAULT_MAX_VISITS,
     enumerate_homs,
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         output, code = run_command(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_output(output, args.out)

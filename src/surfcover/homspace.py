@@ -23,11 +23,11 @@ count for that class.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
 import random
-import threading
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -57,7 +57,6 @@ from .perms import (
 )
 
 PAIR_MATERIALIZE_LIMIT = 7
-COUNT_ONLY_LIMIT = 9
 DEFAULT_MAX_VISITS = 10**9
 
 
@@ -81,9 +80,6 @@ class Seed:
 
 class RandomStream(random.Random):
     """Deterministic stream keyed by (seed, indices) through SHA-256."""
-
-    def __new__(cls, value: int, *indices: int):
-        return super().__new__(cls)
 
     def __init__(self, value: int, *indices: int):
         key = "surfcover:%d:%s" % (value, ":".join(str(i) for i in indices))
@@ -147,34 +143,24 @@ def centralizer_sample(p: Permutation, rng: random.Random) -> Permutation:
 
 
 class CommutatorBuckets:
-    """All pairs (a, b) of S_n grouped by their commutator.
+    """All pairs (a, b) of S_n grouped by their commutator, as packed rank
+    arrays. Every pair is stored, so n is at most PAIR_MATERIALIZE_LIMIT = 7;
+    `build_buckets` refuses larger n."""
 
-    Pairs are materialized for small n (packed rank arrays); for n in the
-    count-only range only per-class sizes are available and single pairs can
-    be regenerated on demand through the exact fiber sampler.
-    """
-
-    def __init__(self, n: int, materialized: bool, pair_ranks, perms):
+    def __init__(self, n: int, pair_ranks, perms):
         self.n = n
-        self.materialized = materialized
         self._pair_ranks = pair_ranks
         self._perms = perms
-        self._key_list = sorted(pair_ranks.keys()) if materialized else None
+        self._key_list = sorted(pair_ranks)
 
     def keys(self) -> list[Permutation]:
-        if not self.materialized:
-            raise ValueError("pairs were not materialized at this n")
         return list(self._key_list)
 
     def size(self, sigma: Permutation) -> int:
-        if self.materialized:
-            packed = self._pair_ranks.get(tuple(sigma))
-            return len(packed) if packed is not None else 0
-        return commutator_count(self.n, cycle_type(sigma))
+        packed = self._pair_ranks.get(tuple(sigma))
+        return len(packed) if packed is not None else 0
 
     def pairs(self, sigma: Permutation):
-        if not self.materialized:
-            raise ValueError("pairs were not materialized at this n")
         packed = self._pair_ranks.get(tuple(sigma))
         if packed is None:
             return
@@ -184,25 +170,18 @@ class CommutatorBuckets:
             yield perms[code // size], perms[code % size]
 
     def total_pairs(self) -> int:
-        if self.materialized:
-            return sum(len(v) for v in self._pair_ranks.values())
-        return factorial(self.n) ** 2
-
-    def regenerate_pair(self, sigma: Permutation, rng: random.Random):
-        """One uniform pair with the given commutator, without materialization."""
-        plan = get_sampler(self.n, 2)
-        return _sample_commutator_fiber(plan, tuple(sigma), rng)
+        return sum(len(v) for v in self._pair_ranks.values())
 
 
-def build_buckets(n: int, materialize_limit: int = PAIR_MATERIALIZE_LIMIT) -> CommutatorBuckets:
+def build_buckets(n: int) -> CommutatorBuckets:
+    """Every pair of S_n, bucketed by commutator; n > PAIR_MATERIALIZE_LIMIT
+    raises ValueError (at n = 8 there are already 1.6e9 pairs)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > COUNT_ONLY_LIMIT:
+    if n > PAIR_MATERIALIZE_LIMIT:
         raise ValueError(
-            f"buckets support n <= {COUNT_ONLY_LIMIT}; use the sampler beyond that"
+            f"buckets support n <= {PAIR_MATERIALIZE_LIMIT}; use the sampler beyond that"
         )
-    if n > materialize_limit:
-        return CommutatorBuckets(n, False, {}, ())
     perms = tuple(itertools.permutations(range(n)))
     rank = {p: i for i, p in enumerate(perms)}
     size = len(perms)
@@ -217,20 +196,12 @@ def build_buckets(n: int, materialize_limit: int = PAIR_MATERIALIZE_LIMIT) -> Co
                 packed = array("I")  # rank pairs fit 32 bits up to n = 7
                 buckets[sigma] = packed
             packed.append(ia * size + ib)
-    return CommutatorBuckets(n, True, buckets, perms)
+    return CommutatorBuckets(n, buckets, perms)
 
 
-_bucket_cache: dict[int, CommutatorBuckets] = {}
-_bucket_lock = threading.Lock()
-
-
+@functools.cache
 def get_buckets(n: int) -> CommutatorBuckets:
-    with _bucket_lock:
-        buckets = _bucket_cache.get(n)
-        if buckets is None:
-            buckets = build_buckets(n)
-            _bucket_cache[n] = buckets
-        return buckets
+    return build_buckets(n)
 
 
 def thread_cap() -> int:
@@ -241,6 +212,32 @@ def thread_cap() -> int:
         return 1
 
 
+def _walk(n: int, genus: int, first_keys):
+    """Images of every point whose first commutator lies in first_keys, in
+    enumeration order: commutator values in bucket-key order, block by block.
+
+    The last block is fixed by the product before it, so its pairs are listed
+    once per value of the block before it and reused for each of that block's
+    pairs.
+    """
+    buckets = get_buckets(n)
+    keys = buckets.keys()
+
+    def blocks(prefix: Permutation, blocks_left: int, images: tuple, sigmas):
+        for sigma in sigmas:
+            nxt = compose(prefix, sigma)
+            if blocks_left == 2:
+                tail = list(buckets.pairs(inverse(nxt)))
+                for a, b in buckets.pairs(sigma):
+                    for c, d in tail:
+                        yield images + (a, b, c, d)
+            else:
+                for a, b in buckets.pairs(sigma):
+                    yield from blocks(nxt, blocks_left - 1, images + (a, b), keys)
+
+    return blocks(identity(n), genus, (), first_keys)
+
+
 def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VISITS) -> int:
     """Visit every homomorphism point exactly once; returns the visit count."""
     expected = hom_count(n, genus)
@@ -248,59 +245,19 @@ def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VI
         raise BudgetExceededError(
             f"enumeration needs {expected} visits, budget is {max_visits}"
         )
-    buckets = get_buckets(n)
     count = 0
-
-    def emit(images):
-        nonlocal count
-        visitor(HomPoint(tuple(images), genus, n))
+    for images in _walk(n, genus, get_buckets(n).keys()):
+        visitor(HomPoint(images, genus, n))
         count += 1
-
-    def recurse(prefix: Permutation, blocks_left: int, images):
-        if blocks_left == 1:
-            final = inverse(prefix)
-            for a, b in buckets.pairs(final):
-                emit(images + [a, b])
-            return
-        for sigma in buckets.keys():
-            pair_iter = buckets.pairs(sigma)
-            nxt = compose(prefix, sigma)
-            for a, b in pair_iter:
-                recurse(nxt, blocks_left - 1, images + [a, b])
-
-    recurse(identity(n), genus, [])
     if count != expected:
         raise AssertionError("enumeration count disagrees with the character count")
     return count
 
 
 def _expectation_for_keys(n, genus, spec, keys) -> int:
-    buckets = get_buckets(n)
-    total = 0
-    if genus == 2:
-        for sigma in keys:
-            tail = list(buckets.pairs(inverse(sigma)))
-            for a1, b1 in buckets.pairs(sigma):
-                for a2, b2 in tail:
-                    total += joint_moment(HomPoint((a1, b1, a2, b2), genus, n), spec)
-        return total
-
-    def recurse(prefix, blocks_left, images):
-        nonlocal total
-        if blocks_left == 1:
-            for a, b in buckets.pairs(inverse(prefix)):
-                total += joint_moment(HomPoint(tuple(images + [a, b]), genus, n), spec)
-            return
-        for sigma in buckets.keys():
-            nxt = compose(prefix, sigma)
-            for a, b in buckets.pairs(sigma):
-                recurse(nxt, blocks_left - 1, images + [a, b])
-
-    for first in keys:
-        nxt = compose(identity(n), first)
-        for a, b in buckets.pairs(first):
-            recurse(nxt, genus - 1, [a, b])
-    return total
+    return sum(
+        joint_moment(HomPoint(images, genus, n), spec) for images in _walk(n, genus, keys)
+    )
 
 
 def _expectation_worker(args):
@@ -474,36 +431,34 @@ class SamplerPlan:
         ]
         self._fiber_rows: dict[int, tuple[list[int], int]] = {}
         self._mid_draws: dict[tuple[int, int], tuple[list[int], array]] = {}
-        self._lock = threading.Lock()
 
     # -- lazy weight rows ---------------------------------------------------
 
     def fiber_row(self, sigma_class: int):
         """Cumulative weights over the class of `a` for pairs with a fixed
         commutator in class sigma_class."""
-        with self._lock:
-            row = self._fiber_rows.get(sigma_class)
-            if row is None:
-                parts = self.table.partitions
-                sizes = self.table.class_sizes
-                centralizers = self.table.centralizer_sizes
-                chi_sigma = self.chi_matrix[sigma_class]
-                square = self.n_factorial**2
-                weights = []
-                for k in range(len(parts)):
-                    chi2h = self._chi2h[k]
-                    total = sum(chi2h[l] * chi_sigma[l] for l in range(len(parts)))
-                    scaled = sizes[k] * sizes[k] * total
-                    q, r = divmod(scaled, square)
-                    if r or q < 0:
-                        raise ArithmeticError("fiber weight is not a whole count")
-                    weights.append(centralizers[k] * q)
-                cum = list(itertools.accumulate(weights))
-                if cum[-1] != self.pair_counts[sigma_class]:
-                    raise ArithmeticError("fiber weights disagree with the pair count")
-                row = (cum, cum[-1])
-                self._fiber_rows[sigma_class] = row
-            return row
+        row = self._fiber_rows.get(sigma_class)
+        if row is None:
+            parts = self.table.partitions
+            sizes = self.table.class_sizes
+            centralizers = self.table.centralizer_sizes
+            chi_sigma = self.chi_matrix[sigma_class]
+            square = self.n_factorial**2
+            weights = []
+            for k in range(len(parts)):
+                chi2h = self._chi2h[k]
+                total = sum(chi2h[l] * chi_sigma[l] for l in range(len(parts)))
+                scaled = sizes[k] * sizes[k] * total
+                q, r = divmod(scaled, square)
+                if r or q < 0:
+                    raise ArithmeticError("fiber weight is not a whole count")
+                weights.append(centralizers[k] * q)
+            cum = list(itertools.accumulate(weights))
+            if cum[-1] != self.pair_counts[sigma_class]:
+                raise ArithmeticError("fiber weights disagree with the pair count")
+            row = (cum, cum[-1])
+            self._fiber_rows[sigma_class] = row
+        return row
 
     def mid_draw(self, r_class: int, remaining: int):
         """Cumulative weights over class pairs (u, s) for the next mid block,
@@ -511,75 +466,59 @@ class SamplerPlan:
         it. Returns (cum, pairs); pairs[i] is the flat index u * p + s of the
         i-th positive weight, in u-major order."""
         key = (r_class, remaining)
-        with self._lock:
-            draw = self._mid_draws.get(key)
-            if draw is None:
-                chi = self.chi_matrix
-                p = len(chi)
-                sizes = self.table.class_sizes
-                completions = self.block_counts[remaining]
-                square = self.n_factorial**2
-                # F(u, s, r) = |K_u| |K_s| sum_l chi_l(u) chi_l(s) chi_l(r) h_l / (n!)^2
-                v = [c * h for c, h in zip(chi[r_class], self.table.hook_products)]
-                cum: list[int] = []
-                pairs = array("I")
-                total = 0
-                for u in range(p):
-                    n_u = self.pair_counts[u]
-                    if n_u == 0:
-                        continue
-                    w = [c * x for c, x in zip(chi[u], v)]
-                    for s in range(p):
-                        scaled = sizes[u] * sizes[s] * sum(map(mul, w, chi[s]))
-                        q, r = divmod(scaled, square)
-                        if r or q < 0:
-                            raise ArithmeticError(
-                                "factorization count is not a non-negative integer"
-                            )
-                        weight = n_u * q * completions[s]
-                        if weight > 0:
-                            total += weight
-                            cum.append(total)
-                            pairs.append(u * p + s)
-                if total != self.block_counts[remaining + 1][r_class]:
-                    raise ArithmeticError(
-                        "mid-block weights disagree with the block count"
-                    )
-                draw = (cum, pairs)
-                self._mid_draws[key] = draw
-            return draw
+        draw = self._mid_draws.get(key)
+        if draw is None:
+            chi = self.chi_matrix
+            p = len(chi)
+            sizes = self.table.class_sizes
+            completions = self.block_counts[remaining]
+            square = self.n_factorial**2
+            # F(u, s, r) = |K_u| |K_s| sum_l chi_l(u) chi_l(s) chi_l(r) h_l / (n!)^2
+            v = [c * h for c, h in zip(chi[r_class], self.table.hook_products)]
+            cum: list[int] = []
+            pairs = array("I")
+            total = 0
+            for u in range(p):
+                n_u = self.pair_counts[u]
+                if n_u == 0:
+                    continue
+                w = [c * x for c, x in zip(chi[u], v)]
+                for s in range(p):
+                    scaled = sizes[u] * sizes[s] * sum(map(mul, w, chi[s]))
+                    q, r = divmod(scaled, square)
+                    if r or q < 0:
+                        raise ArithmeticError(
+                            "factorization count is not a non-negative integer"
+                        )
+                    weight = n_u * q * completions[s]
+                    if weight > 0:
+                        total += weight
+                        cum.append(total)
+                        pairs.append(u * p + s)
+            if total != self.block_counts[remaining + 1][r_class]:
+                raise ArithmeticError("mid-block weights disagree with the block count")
+            draw = (cum, pairs)
+            self._mid_draws[key] = draw
+        return draw
 
-    # -- strategy estimates ---------------------------------------------------
-
-    def _rejection_trials_estimate(self, kidx: int) -> float:
-        hits = self.table.class_sizes[kidx] * self.pair_counts[kidx]
-        if hits == 0:
-            return float("inf")
-        return self.n_factorial**2 / hits
-
-    def _classwise_trials_estimate(self, kidx: int) -> float:
+    def by_transport(self, kidx: int) -> bool:
+        """Route choice for a pair whose commutator lies in class kidx: True
+        for rejection from uniform pairs plus a conjugation transport, False
+        for the class-weights route. Each route's expected trial count is
+        compared; rejection also runs whenever it needs at most 256 trials."""
         count = self.pair_counts[kidx]
-        if count == 0:
-            return float("inf")
-        return len(self.table.partitions) * self.n_factorial / count
+        hits = self.table.class_sizes[kidx] * count
+        reject = self.n_factorial**2 / hits if hits else float("inf")
+        classwise = (
+            len(self.table.partitions) * self.n_factorial / count if count else float("inf")
+        )
+        return reject <= max(256.0, classwise)
 
 
-def build_sampler(n: int, genus: int) -> SamplerPlan:
-    return SamplerPlan(n, genus)
-
-
-_plan_cache: dict[tuple[int, int], SamplerPlan] = {}
-_plan_lock = threading.Lock()
-
-
+@functools.cache
 def get_sampler(n: int, genus: int) -> SamplerPlan:
     """Shared immutable plan for (n, genus); building one is not free."""
-    with _plan_lock:
-        plan = _plan_cache.get((n, genus))
-        if plan is None:
-            plan = SamplerPlan(n, genus)
-            _plan_cache[(n, genus)] = plan
-        return plan
+    return SamplerPlan(n, genus)
 
 
 def _draw_class(cum: list[int], total: int, rng: random.Random) -> int:
@@ -660,19 +599,15 @@ def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.
     kidx = plan.class_index[cycle_type(sigma)]
     if plan.pair_counts[kidx] == 0:
         raise ValueError("no pairs have this commutator")
-    reject = plan._rejection_trials_estimate(kidx)
-    classwise = plan._classwise_trials_estimate(kidx)
-    if reject <= max(256.0, classwise):
+    if plan.by_transport(kidx):
         return _fiber_by_transport(plan, sigma, rng)
     return _fiber_by_class_weights(plan, sigma, rng)
 
 
 def _sample_pair_in_class_union(plan: SamplerPlan, kidx: int, rng: random.Random):
     """Uniform pair whose commutator lies anywhere in the given class."""
-    reject = plan._rejection_trials_estimate(kidx)
-    classwise = plan._classwise_trials_estimate(kidx)
     mu = plan.table.partitions[kidx]
-    if reject <= max(256.0, classwise):
+    if plan.by_transport(kidx):
         a, b, _ = _pair_with_commutator_type(plan, mu, rng)
         return a, b
     sigma = uniform_in_class(mu, plan.n, rng)
@@ -719,13 +654,6 @@ def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng
             return u
 
 
-def sample_stream(plan: SamplerPlan, seed, count: int):
-    """Deterministic iterator of `count` uniform points from one stream."""
-    rng = stream_for(seed)
-    for _ in range(count):
-        yield sample_hom(plan, rng)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 
@@ -757,6 +685,17 @@ class SampledStats:
         key = (name_x, name_y)
         self.pair_sums.setdefault(key, 0)
         self.shard_pair_sums.setdefault(key, [0] * self.shards)
+
+    def collect(self, plan: SamplerPlan, evaluate, seed) -> None:
+        """Add evaluate(h), a dict of named values, for `samples` uniform
+        points. Shard i draws its share from the fixed sub-stream
+        stream_for(seed, i), so the sums do not depend on how the shards are
+        executed."""
+        base, extra = divmod(self.samples, self.shards)
+        for shard in range(self.shards):
+            rng = stream_for(seed, shard)
+            for _ in range(base + (1 if shard < extra else 0)):
+                self.add(shard, evaluate(sample_hom(plan, rng)))
 
     def add(self, shard: int, values: dict) -> None:
         self.shard_counts[shard] += 1
@@ -795,6 +734,24 @@ class SampledStats:
             else None,
             shard_means=self.shard_means(name),
         )
+
+    def gap(self, joint: str, factors) -> tuple[float, float]:
+        """The joint mean minus the product of the factor means, and the
+        standard error of that gap from the spread of its per-shard values."""
+        product = 1.0
+        for name in factors:
+            product *= self.mean(name)
+        factor_shards = [self.shard_means(name) for name in factors]
+        shard_gaps = []
+        for shard, joint_mean in enumerate(self.shard_means(joint)):
+            p = 1.0
+            for means in factor_shards:
+                p *= means[shard]
+            shard_gaps.append(joint_mean - p)
+        k = len(shard_gaps)
+        mean_gap = sum(shard_gaps) / k
+        spread = sum((g - mean_gap) ** 2 for g in shard_gaps) / (k - 1)
+        return self.mean(joint) - product, (spread / k) ** 0.5
 
     def covariance(self, name_x: str, name_y: str) -> float:
         key = (name_x, name_y)
@@ -836,16 +793,10 @@ def run_sampled_stats(
         raise ValueError("need at least 2 samples")
     if isinstance(seed, int):
         seed = Seed(seed)
-    shards = min(shards, samples)
-    stats = SampledStats(evaluators.keys(), samples, shards)
+    stats = SampledStats(evaluators.keys(), samples, min(shards, samples))
     for nx, ny in pairs:
         stats.track_pair(nx, ny)
-    per_shard = [samples // shards + (1 if i < samples % shards else 0) for i in range(shards)]
-    for shard, count in enumerate(per_shard):
-        rng = stream_for(seed, shard)
-        for _ in range(count):
-            h = sample_hom(plan, rng)
-            stats.add(shard, {name: fn(h) for name, fn in evaluators.items()})
+    stats.collect(plan, lambda h: {name: fn(h) for name, fn in evaluators.items()}, seed)
     return stats
 
 

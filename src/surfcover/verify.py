@@ -123,20 +123,11 @@ def _sampled_row(n: int, plan: ExperimentPlan, prediction: Fraction) -> Converge
     )
     joint = stats.mean("joint")
     stderr = stats.stderr("joint")
-    product = 1.0
-    for i in range(len(spec.groups)):
-        product *= stats.mean(f"group{i}")
-    gap = abs(joint - product)
-    shard_gaps = []
     names = [f"group{i}" for i in range(len(spec.groups))]
-    for shard in range(stats.shards):
-        p = 1.0
-        for name in names:
-            p *= stats.shard_means(name)[shard]
-        shard_gaps.append(stats.shard_means("joint")[shard] - p)
-    mean_gap = sum(shard_gaps) / len(shard_gaps)
-    spread = sum((g - mean_gap) ** 2 for g in shard_gaps) / (len(shard_gaps) - 1)
-    gap_stderr = (spread / len(shard_gaps)) ** 0.5
+    product = 1.0
+    for name in names:
+        product *= stats.mean(name)
+    gap, gap_stderr = stats.gap("joint", names)
     err = abs(joint - float(prediction))
     return ConvergenceRow(
         n=n,
@@ -147,7 +138,7 @@ def _sampled_row(n: int, plan: ExperimentPlan, prediction: Fraction) -> Converge
         prediction=prediction,
         abs_error=err,
         n_times_error=n * err,
-        gap=gap,
+        gap=abs(gap),
         gap_stderr=gap_stderr,
     )
 

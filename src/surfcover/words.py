@@ -229,28 +229,6 @@ def primitivity_certificate(w: Word) -> str:
     return PRIMITIVE if g == 1 else UNKNOWN
 
 
-@dataclass(frozen=True)
-class PowerClaim:
-    """Record that some word of interest equals base**exponent."""
-
-    base: Word
-    exponent: int
-    certified: str
-
-    def __post_init__(self) -> None:
-        if self.exponent < 1:
-            raise ValueError("exponent must be >= 1")
-        if self.certified not in (PRIMITIVE, UNKNOWN):
-            raise ValueError(f"bad certificate value {self.certified!r}")
-
-    def word(self) -> Word:
-        return power_word(self.base, self.exponent)
-
-
-def make_power_claim(base: Word, exponent: int) -> PowerClaim:
-    return PowerClaim(base, exponent, primitivity_certificate(base))
-
-
 _TOKEN_RE = re.compile(r"^([ab])([1-9][0-9]*)('?)(?:\^(-?[0-9]+))?$")
 
 

@@ -16,13 +16,13 @@ from surfcover.characters import (
     commutator_count,
     dim_irrep,
     factorization_count,
-    g_commutator_product_count,
     get_table,
     hom_count,
     mn_character,
     partitions,
     witten_zeta,
 )
+from surfcover.homspace import get_sampler
 from surfcover.perms import commutator, compose, cycle_type
 
 S3_TABLE = {
@@ -254,6 +254,13 @@ def test_total_commutator_mass():
             class_size(mu) * commutator_count(n, mu) for mu in partitions(n)
         )
         assert total == factorial(n) ** 2
+
+
+def g_commutator_product_count(n, genus, mu):
+    """Tuples (a_1, b_1, ..., a_g, b_g) whose commutator product is a fixed
+    element of class mu, as the sampler's plan counts them."""
+    plan = get_sampler(n, genus + 1)
+    return plan.block_counts[genus][plan.class_index[mu]]
 
 
 def test_g_commutator_product_count():

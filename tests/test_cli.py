@@ -190,6 +190,13 @@ def test_error_exits():
     assert main(["predict", "--spec", "broken"]) == 2
 
 
+def test_refused_table_exits_with_error(capsys):
+    assert main(["characters", "-n", "29"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["estimate", "-n", "29", "--spec", 'g="a1" exps=[1]']) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_timings_opt_in():
     base, _ = run_cli(["enumerate", "-n", "2", "-g", "2"])
     assert b"runtime_ms" not in base

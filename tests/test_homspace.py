@@ -10,10 +10,10 @@ import surfcover
 from surfcover import characters
 from surfcover.characters import commutator_count, factorization_count, hom_count
 from surfcover.homspace import (
+    PAIR_MATERIALIZE_LIMIT,
     BudgetExceededError,
     Seed,
     build_buckets,
-    build_sampler,
     centralizer_sample,
     conjugator_between,
     enumerate_homs,
@@ -25,7 +25,6 @@ from surfcover.homspace import (
     monte_carlo_expectation,
     run_sampled_stats,
     sample_hom,
-    sample_stream,
     stream_for,
     uniform_in_class,
 )
@@ -42,6 +41,11 @@ from surfcover.words import IdentityWordError, word_from_text
 
 def w(text, genus=2):
     return word_from_text(text, genus)
+
+
+def sample_stream(plan, seed, count):
+    rng = stream_for(seed)
+    return (sample_hom(plan, rng) for _ in range(count))
 
 
 def spec_of(*groups, genus=2):
@@ -65,18 +69,10 @@ def test_buckets_small():
             assert commutator(a, b) == sigma
 
 
-def test_buckets_count_only_mode():
-    b8 = build_buckets(8)
-    assert not b8.materialized
-    assert b8.size(identity(8)) == commutator_count(8, tuple([1] * 8))
+def test_buckets_refused_past_materialize_limit():
+    assert PAIR_MATERIALIZE_LIMIT == 7
     with pytest.raises(ValueError):
-        b8.keys()
-    with pytest.raises(ValueError):
-        build_buckets(12)
-    rng = stream_for(5)
-    three_cycle = (1, 2, 0, 3, 4, 5, 6, 7)
-    a, b = b8.regenerate_pair(three_cycle, rng)
-    assert commutator(a, b) == three_cycle
+        build_buckets(8)
 
 
 def test_enumerate_counts():
@@ -235,16 +231,16 @@ def test_uniform_in_class_is_uniform():
 
 
 def test_sampler_plan_consistency():
-    plan = build_sampler(3, 2)
+    plan = get_sampler(3, 2)
     assert plan.total_weight == 486
     weights = dict(zip(plan.table.partitions, plan.first_block_weights))
     assert weights[(1, 1, 1)] == 18 * 18
     assert weights[(3,)] == 2 * 81
     assert weights[(2, 1)] == 0
-    plan4 = build_sampler(4, 2)
+    plan4 = get_sampler(4, 2)
     assert plan4.total_weight == hom_count(4, 2)
     # degenerate case: only the identity class carries weight when S_n is abelian
-    plan2 = build_sampler(2, 2)
+    plan2 = get_sampler(2, 2)
     weights2 = dict(zip(plan2.table.partitions, plan2.first_block_weights))
     assert weights2[(2,)] == 0
     assert weights2[(1, 1)] == plan2.total_weight == 16
@@ -253,7 +249,7 @@ def test_sampler_plan_consistency():
 def test_sample_hom_matches_support_and_is_deterministic():
     support = set()
     enumerate_homs(3, 2, support.add)
-    plan = build_sampler(3, 2)
+    plan = get_sampler(3, 2)
     first = [sample_hom(plan, stream_for(Seed(42, 0))) for _ in range(1)]
     second = [sample_hom(plan, stream_for(Seed(42, 0))) for _ in range(1)]
     assert first == second
@@ -264,7 +260,7 @@ def test_sample_hom_matches_support_and_is_deterministic():
 def test_sample_stream_distribution_loose():
     support = []
     enumerate_homs(3, 2, support.append)
-    plan = build_sampler(3, 2)
+    plan = get_sampler(3, 2)
     n_samples = 20000
     counts = Counter(sample_stream(plan, 8, n_samples))
     tv = 0.5 * sum(abs(counts.get(h, 0) / n_samples - 1 / 486) for h in support)
@@ -272,7 +268,7 @@ def test_sample_stream_distribution_loose():
 
 
 def test_sampler_mean_matches_exact_marginal():
-    plan = build_sampler(6, 2)
+    plan = get_sampler(6, 2)
     a1 = w("a1")
     stats = run_sampled_stats(
         plan, {"f": lambda h: fixed_points(h, a1)}, 8000, 21
@@ -282,7 +278,7 @@ def test_sampler_mean_matches_exact_marginal():
 
 
 def test_sampler_genus_three():
-    plan = build_sampler(3, 3)
+    plan = get_sampler(3, 3)
     assert plan.total_weight == hom_count(3, 3)
     for h in sample_stream(plan, 9, 40):
         assert h.genus == 3
@@ -304,7 +300,7 @@ def test_sampler_genus_three_block_marginals_match_enumeration():
     enumerate_homs(3, 3, lambda h: exact.update([block_classes(h)]))
     total = sum(exact.values())
     assert total == hom_count(3, 3)
-    plan = build_sampler(3, 3)
+    plan = get_sampler(3, 3)
     n_samples = 6000
     sampled = Counter(block_classes(h) for h in sample_stream(plan, 31, n_samples))
     for key, count in exact.items():
@@ -333,7 +329,7 @@ def _mid_draw_reference(plan, r_class, remaining):
 
 @pytest.mark.parametrize("n,genus", [(5, 3), (7, 3), (6, 4)])
 def test_mid_draw_matches_factorization_count_reference(n, genus):
-    plan = build_sampler(n, genus)
+    plan = get_sampler(n, genus)
     p = len(plan.table.partitions)
     for remaining in range(1, genus - 1):
         for r_class in range(p):
@@ -363,9 +359,29 @@ def test_sample_hom_golden_stream(n, genus, k, digest):
     assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
 
 
+def test_route_choice_covers_both_routes(monkeypatch):
+    plan = get_sampler(12, 2)
+    routes = [plan.by_transport(k) for k, count in enumerate(plan.pair_counts) if count > 0]
+    assert (sum(routes), len(routes)) == (26, 40)
+    # The golden stream at (12, 2) takes both routes.
+    taken = Counter()
+    choose = plan.by_transport
+
+    def counted(kidx):
+        route = choose(kidx)
+        taken[route] += 1
+        return route
+
+    monkeypatch.setattr(plan, "by_transport", counted)
+    rng = stream_for(Seed(3), 0)
+    for _ in range(200):
+        sample_hom(plan, rng)
+    assert taken[True] > 0 and taken[False] > 0
+
+
 def test_sampler_mean_matches_exact_marginal_genus_four():
     # genus 4 is the first genus whose chain draws a mid block with two blocks after it
-    plan = build_sampler(5, 4)
+    plan = get_sampler(5, 4)
     a1 = w("a1", 4)
     stats = run_sampled_stats(
         plan, {"f": lambda h: fixed_points(h, a1)}, 4000, 4
@@ -375,7 +391,7 @@ def test_sampler_mean_matches_exact_marginal_genus_four():
 
 
 def test_monte_carlo_constant_observable():
-    plan = build_sampler(3, 2)
+    plan = get_sampler(3, 2)
     result = monte_carlo_expectation(plan, spec_of(), 500, 3)
     assert result.mean == 1.0
     assert result.stderr == 0.0
@@ -383,7 +399,7 @@ def test_monte_carlo_constant_observable():
 
 
 def test_monte_carlo_seed_reproducibility():
-    plan = build_sampler(4, 2)
+    plan = get_sampler(4, 2)
     spec = f_spec("a1")
     r1 = monte_carlo_expectation(plan, spec, 400, 17)
     r2 = monte_carlo_expectation(plan, spec, 400, 17)
@@ -393,7 +409,7 @@ def test_monte_carlo_seed_reproducibility():
 
 
 def test_stderr_shrinks_with_samples():
-    plan = build_sampler(4, 2)
+    plan = get_sampler(4, 2)
     spec = f_spec("a1")
     small = monte_carlo_expectation(plan, spec, 2000, 5)
     large = monte_carlo_expectation(plan, spec, 8000, 6)

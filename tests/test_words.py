@@ -17,7 +17,6 @@ from surfcover.words import (
     free_reduce,
     inverse_word,
     is_identity,
-    make_power_claim,
     power_word,
     primitivity_certificate,
     relator,
@@ -173,13 +172,6 @@ def test_power_word_composes():
             continue
         for a, b in [(2, 3), (1, 4), (3, 2)]:
             assert power_word(power_word(base, a), b) == power_word(base, a * b)
-
-
-def test_power_claim():
-    claim = make_power_claim(w("a1"), 4)
-    assert claim.certified == PRIMITIVE
-    assert claim.word() == w("a1^4")
-    assert make_power_claim(w("a1^2"), 1).certified == UNKNOWN
 
 
 def test_text_round_trip():
