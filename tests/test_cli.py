@@ -234,11 +234,13 @@ GOLDEN_CLI = [
         "5354443b04187ecbb7895641afb9be0cc390037dd14fb37212188b9eb15c9e68",
     ),
     (
-        ["enumerate", "-n", "4", "-g", "2", "--spec", 'gamma="a1 b2" exps=[1,2]; delta="a2" exps=[3]'],
+        ["enumerate", "-n", "4", "-g", "2",
+         "--spec", 'gamma="a1 b2" exps=[1,2]; delta="a2" exps=[3]'],
         "3e7d767324b5439c7bdd79d2fc866fbb56631f4dfe809202f7376dcce1148f9f",
     ),
     (
-        ["enumerate", "-n", "3", "-g", "3", "--spec", 'gamma="a1" exps=[1]; delta="b3" exps=[2]'],
+        ["enumerate", "-n", "3", "-g", "3",
+         "--spec", 'gamma="a1" exps=[1]; delta="b3" exps=[2]'],
         "5cbbad0e1ea26e0af4585f1b1ac33198a5ca8a4790e4b6161e67b551b43a2c29",
     ),
 ]
