@@ -406,8 +406,8 @@ def criterion_independence(ctx: AcceptanceContext) -> CriterionResult:
     distances = [abs(exact15[n] - 15) for n in SAMPLED_N]
     falling_ok = all(d1 > d2 for d1, d2 in zip(distances, distances[1:]))
     factors = ("g_gamma", "g_delta")
-    gap16, gap16_se = stats16.gap("joint15", factors)
-    gap8, _ = stats8.gap("joint15", factors)
+    gap16, _, gap16_se = stats16.gap("joint15", factors)
+    gap8, _, _ = stats8.gap("joint15", factors)
     gap_ok = abs(gap16) < abs(gap8) or abs(gap16) <= 2 * gap16_se
 
     errors = [(n, float(abs(ctx.exact_generator_mean(n) - 1))) for n in EXACT_N]

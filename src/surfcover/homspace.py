@@ -81,6 +81,11 @@ class Seed:
 class RandomStream(random.Random):
     """Deterministic stream keyed by (seed, indices) through SHA-256."""
 
+    # Python 3.10's Random.__new__ seeds itself and refuses more than one
+    # positional argument; the override keeps (value, *indices) working there.
+    def __new__(cls, value: int, *indices: int):
+        return super().__new__(cls)
+
     def __init__(self, value: int, *indices: int):
         key = "surfcover:%d:%s" % (value, ":".join(str(i) for i in indices))
         digest = hashlib.sha256(key.encode()).digest()
@@ -735,9 +740,10 @@ class SampledStats:
             shard_means=self.shard_means(name),
         )
 
-    def gap(self, joint: str, factors) -> tuple[float, float]:
-        """The joint mean minus the product of the factor means, and the
-        standard error of that gap from the spread of its per-shard values."""
+    def gap(self, joint: str, factors) -> tuple[float, float, float]:
+        """The joint mean minus the product of the factor means, that product,
+        and the standard error of the gap from the spread of its per-shard
+        values."""
         product = 1.0
         for name in factors:
             product *= self.mean(name)
@@ -751,7 +757,7 @@ class SampledStats:
         k = len(shard_gaps)
         mean_gap = sum(shard_gaps) / k
         spread = sum((g - mean_gap) ** 2 for g in shard_gaps) / (k - 1)
-        return self.mean(joint) - product, (spread / k) ** 0.5
+        return self.mean(joint) - product, product, (spread / k) ** 0.5
 
     def covariance(self, name_x: str, name_y: str) -> float:
         key = (name_x, name_y)

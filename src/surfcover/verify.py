@@ -124,10 +124,7 @@ def _sampled_row(n: int, plan: ExperimentPlan, prediction: Fraction) -> Converge
     joint = stats.mean("joint")
     stderr = stats.stderr("joint")
     names = [f"group{i}" for i in range(len(spec.groups))]
-    product = 1.0
-    for name in names:
-        product *= stats.mean(name)
-    gap, gap_stderr = stats.gap("joint", names)
+    gap, product, gap_stderr = stats.gap("joint", names)
     err = abs(joint - float(prediction))
     return ConvergenceRow(
         n=n,
