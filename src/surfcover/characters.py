@@ -236,11 +236,6 @@ def get_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
-def mn_character(lam: Partition, mu: Partition) -> int:
-    lam, mu = check_partition(lam), check_partition(mu)
-    return get_table(sum(lam)).chi(lam, mu)
-
-
 def witten_zeta(n: int, s: int) -> Fraction:
     """Sum over irreducibles of dim^-s."""
     if n < 1:

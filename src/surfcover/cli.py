@@ -22,12 +22,12 @@ from .homspace import (
     enumerate_homs,
     exact_expectation,
     get_sampler,
-    monte_carlo_expectation,
+    run_sampled_stats,
     sample_hom,
     stream_for,
 )
 from .limits import limit_product_moment
-from .observables import spec_from_json, spec_from_text, spec_to_text
+from .observables import joint_moment, spec_from_json, spec_from_text, spec_to_text
 from .perms import cycles_str, evaluate_word
 from .verify import (
     ExperimentPlan,
@@ -173,6 +173,12 @@ def _defaults(args) -> None:
         args.samples = 100_000
     if getattr(args, "budget_visits", None) is None:
         args.budget_visits = DEFAULT_MAX_VISITS
+    if getattr(args, "count", None) is None:
+        args.count = 1
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
+    if getattr(args, "max_d", None) is None:
+        args.max_d = 3
 
 
 def _n_values(args, fallback) -> tuple[int, ...]:
@@ -200,11 +206,8 @@ def _parse_spec(raw, genus: int):
 
 
 def _plan_from_args(args) -> ExperimentPlan:
-    if not args.spec:
-        raise ValueError("this command needs --spec")
-    spec = _parse_spec(args.spec, args.g)
     return ExperimentPlan(
-        spec=spec,
+        spec=_parse_spec(args.spec, args.g),
         n_values=_n_values(args, (2, 3, 4)),
         samples=args.samples,
         seed=args.seed,
@@ -283,12 +286,11 @@ def run_command(args) -> tuple[bytes, int]:
 
     if args.command == "sample":
         _require_n(args)
-        count = args.count or 1
         plan = get_sampler(args.n, args.g)
         rng = stream_for(args.seed)
         word = word_from_text(args.word, args.g) if args.word else None
         points = []
-        for index in range(count):
+        for index in range(args.count):
             h = sample_hom(plan, rng)
             entry = {
                 "index": index,
@@ -302,17 +304,21 @@ def run_command(args) -> tuple[bytes, int]:
     if args.command == "estimate":
         _require_n(args)
         spec = _parse_spec(args.spec, args.g)
-        plan = get_sampler(args.n, args.g)
-        result = monte_carlo_expectation(plan, spec, args.samples, args.seed)
+        stats = run_sampled_stats(
+            get_sampler(args.n, args.g),
+            {"joint": lambda h: joint_moment(h, spec)},
+            args.samples,
+            args.seed,
+        )
         return finish(
             {
                 "n": args.n,
                 "g": args.g,
                 "spec": spec_to_text(spec),
                 "method": "sample",
-                "mean": result.mean,
-                "stderr": result.stderr,
-                "samples": result.samples,
+                "mean": stats.mean("joint"),
+                "stderr": stats.stderr("joint"),
+                "samples": stats.samples,
                 "seed": args.seed,
             }
         )
@@ -363,10 +369,7 @@ def run_command(args) -> tuple[bytes, int]:
         if not args.words:
             raise ValueError("verify-cycles needs --words")
         words = [word_from_text(tok, args.g) for tok in args.words.split(",")]
-        max_d = args.max_d or 3
-        report = run_cycle_convergence(
-            words, max_d, args.n, args.samples, seed=args.seed
-        )
+        report = run_cycle_convergence(words, args.max_d, args.n, args.samples, seed=args.seed)
         rows = [
             {
                 "word": i.word_index,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import os
 import random
 from array import array
 from bisect import bisect_right
@@ -93,9 +92,10 @@ class RandomStream(random.Random):
 
 
 def stream_for(seed, *indices: int) -> RandomStream:
-    if isinstance(seed, Seed):
-        return RandomStream(seed.value, seed.stream, *indices)
-    return RandomStream(int(seed), 0, *indices)
+    """Stream for (seed, indices); an int seed means Seed(seed) and is range-checked."""
+    if not isinstance(seed, Seed):
+        seed = Seed(int(seed))
+    return RandomStream(seed.value, seed.stream, *indices)
 
 
 def uniform_in_class(mu, n: int, rng: random.Random) -> Permutation:
@@ -209,17 +209,9 @@ def get_buckets(n: int) -> CommutatorBuckets:
     return build_buckets(n)
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("SCL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _walk(n: int, genus: int, first_keys):
-    """Images of every point whose first commutator lies in first_keys, in
-    enumeration order: commutator values in bucket-key order, block by block.
+def _walk(n: int, genus: int):
+    """Images of every point in enumeration order: commutator values in
+    bucket-key order, block by block.
 
     The last block is fixed by the product before it, so its pairs are listed
     once per value of the block before it and reused for each of that block's
@@ -228,8 +220,8 @@ def _walk(n: int, genus: int, first_keys):
     buckets = get_buckets(n)
     keys = buckets.keys()
 
-    def blocks(prefix: Permutation, blocks_left: int, images: tuple, sigmas):
-        for sigma in sigmas:
+    def blocks(prefix: Permutation, blocks_left: int, images: tuple):
+        for sigma in keys:
             nxt = compose(prefix, sigma)
             if blocks_left == 2:
                 tail = list(buckets.pairs(inverse(nxt)))
@@ -238,9 +230,9 @@ def _walk(n: int, genus: int, first_keys):
                         yield images + (a, b, c, d)
             else:
                 for a, b in buckets.pairs(sigma):
-                    yield from blocks(nxt, blocks_left - 1, images + (a, b), keys)
+                    yield from blocks(nxt, blocks_left - 1, images + (a, b))
 
-    return blocks(identity(n), genus, (), first_keys)
+    return blocks(identity(n), genus, ())
 
 
 def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VISITS) -> int:
@@ -251,7 +243,7 @@ def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VI
             f"enumeration needs {expected} visits, budget is {max_visits}"
         )
     count = 0
-    for images in _walk(n, genus, get_buckets(n).keys()):
+    for images in _walk(n, genus):
         visitor(HomPoint(images, genus, n))
         count += 1
     if count != expected:
@@ -259,57 +251,20 @@ def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VI
     return count
 
 
-def _expectation_for_keys(n, genus, spec, keys) -> int:
-    return sum(
-        joint_moment(HomPoint(images, genus, n), spec) for images in _walk(n, genus, keys)
-    )
-
-
-def _expectation_worker(args):
-    n, genus, spec, keys = args
-    return _expectation_for_keys(n, genus, spec, keys)
-
-
 def exact_expectation(
-    n: int,
-    genus: int,
-    spec: ObservableSpec,
-    max_visits: int = DEFAULT_MAX_VISITS,
-    workers: int | None = None,
+    n: int, genus: int, spec: ObservableSpec, max_visits: int = DEFAULT_MAX_VISITS
 ) -> Fraction:
-    """Exact rational mean of the observable over every homomorphism point.
-
-    Work is split over the outermost commutator value; partial sums are exact
-    integers combined in key order, so results are identical at any worker
-    count.
-    """
+    """Exact rational mean of the spec's joint observable over every point."""
     if spec.genus != genus:
         raise ValueError("spec genus differs from requested genus")
-    total_points = hom_count(n, genus)
-    if total_points > max_visits:
-        raise BudgetExceededError(
-            f"enumeration needs {total_points} visits, budget is {max_visits}"
-        )
-    buckets = get_buckets(n)
-    keys = buckets.keys()
-    if workers is None:
-        workers = thread_cap()
-    workers = max(1, min(workers, len(keys)))
-    if workers == 1:
-        total = _expectation_for_keys(n, genus, spec, keys)
-    else:
-        chunks = [keys[i::workers] for i in range(workers)]
-        import multiprocessing
+    total = 0
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            partials = pool.map(
-                _expectation_worker, [(n, genus, spec, chunk) for chunk in chunks]
-            )
-        total = 0
-        for part in partials:
-            total += part
-    return Fraction(total, total_points)
+    def add(h: HomPoint) -> None:
+        nonlocal total
+        total += joint_moment(h, spec)
+
+    points = enumerate_homs(n, genus, add, max_visits)  # fills total; read it after
+    return Fraction(total, points)
 
 
 def generator_fix_expectation(n: int, genus: int) -> Fraction:
@@ -430,10 +385,6 @@ class SamplerPlan:
         self.total_weight = self.first_block_cum[-1]
         if self.total_weight != hom_count(n, genus):
             raise ArithmeticError("stage weights do not sum to the point count")
-        # chi^2 * hook product per (class, irrep), reused by every fiber row.
-        self._chi2h = [
-            [c * c * h for c, h in zip(chi_row, hooks)] for chi_row in self.chi_matrix
-        ]
         self._fiber_rows: dict[int, tuple[list[int], int]] = {}
         self._mid_draws: dict[tuple[int, int], tuple[list[int], array]] = {}
 
@@ -444,15 +395,13 @@ class SamplerPlan:
         commutator in class sigma_class."""
         row = self._fiber_rows.get(sigma_class)
         if row is None:
-            parts = self.table.partitions
             sizes = self.table.class_sizes
             centralizers = self.table.centralizer_sizes
-            chi_sigma = self.chi_matrix[sigma_class]
             square = self.n_factorial**2
+            v = [c * h for c, h in zip(self.chi_matrix[sigma_class], self.table.hook_products)]
             weights = []
-            for k in range(len(parts)):
-                chi2h = self._chi2h[k]
-                total = sum(chi2h[l] * chi_sigma[l] for l in range(len(parts)))
+            for k, row_k in enumerate(self.chi_matrix):
+                total = sum(map(mul, map(mul, row_k, row_k), v))
                 scaled = sizes[k] * sizes[k] * total
                 q, r = divmod(scaled, square)
                 if r or q < 0:
@@ -663,15 +612,6 @@ def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng
 # Monte Carlo estimation
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    mean: float
-    stderr: float
-    samples: int
-    exact_mean: Fraction | None = None
-    shard_means: tuple[float, ...] = ()
-
-
 class SampledStats:
     """Aggregates for several named observables over one shared sample stream."""
 
@@ -716,9 +656,6 @@ class SampledStats:
     def mean(self, name: str) -> float:
         return self.sums[name] / self.samples
 
-    def exact_mean(self, name: str) -> Fraction:
-        return Fraction(self.sums[name], self.samples)
-
     def stderr(self, name: str) -> float:
         m = self.mean(name)
         var = (self.sumsqs[name] - self.samples * m * m) / (self.samples - 1)
@@ -727,17 +664,6 @@ class SampledStats:
     def shard_means(self, name: str) -> tuple[float, ...]:
         return tuple(
             s / c for s, c in zip(self.shard_sums[name], self.shard_counts)
-        )
-
-    def result(self, name: str) -> EstimateResult:
-        return EstimateResult(
-            mean=self.mean(name),
-            stderr=self.stderr(name),
-            samples=self.samples,
-            exact_mean=self.exact_mean(name)
-            if isinstance(self.sums[name], int)
-            else None,
-            shard_means=self.shard_means(name),
         )
 
     def gap(self, joint: str, factors) -> tuple[float, float, float]:
@@ -797,20 +723,9 @@ def run_sampled_stats(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if isinstance(seed, int):
-        seed = Seed(seed)
     stats = SampledStats(evaluators.keys(), samples, min(shards, samples))
     for nx, ny in pairs:
         stats.track_pair(nx, ny)
     stats.collect(plan, lambda h: {name: fn(h) for name, fn in evaluators.items()}, seed)
     return stats
 
-
-def monte_carlo_expectation(
-    plan: SamplerPlan, spec: ObservableSpec, samples: int, seed, shards: int = 16
-) -> EstimateResult:
-    """Sample mean and standard error of the spec's joint observable."""
-    stats = run_sampled_stats(
-        plan, {"joint": lambda h: joint_moment(h, spec)}, samples, seed, shards=shards
-    )
-    return stats.result("joint")

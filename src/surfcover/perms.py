@@ -20,16 +20,6 @@ def identity(n: int) -> Permutation:
     return tuple(range(n))
 
 
-def check_permutation(p) -> Permutation:
-    n = len(p)
-    seen = [False] * n
-    for v in p:
-        if not 0 <= v < n or seen[v]:
-            raise ValueError(f"not a permutation of range({n}): {p!r}")
-        seen[v] = True
-    return tuple(p)
-
-
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p first, then q."""
     if len(p) != len(q):

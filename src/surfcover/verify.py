@@ -3,13 +3,13 @@
 Each driver walks a list of n values, computing the observable exactly where
 enumeration fits the budget and by seeded Monte Carlo elsewhere, then lines
 the results up against the exact limit predictions. Exact rows carry
-rationals and are bit-identical across runs and worker counts; sampled rows
-carry a mean and a standard error.
+rationals and are bit-identical across runs; sampled rows carry a mean and a
+standard error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .homspace import (
@@ -39,9 +39,7 @@ class ExperimentPlan:
     n_values: tuple[int, ...]
     samples: int = 100_000
     seed: int = 0
-    shards: int = 16
     budget_visits: int = DEFAULT_MAX_VISITS
-    methods: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
@@ -50,13 +48,7 @@ class ExperimentPlan:
             raise ValueError("need at least 2 samples")
 
     def method_for(self, n: int) -> str:
-        choice = self.methods.get(n)
-        if choice is not None:
-            if choice not in (ENUMERATE, SAMPLE):
-                raise ValueError(f"unknown method {choice!r}")
-            return choice
-        genus = self.spec.genus
-        return ENUMERATE if hom_count(n, genus) <= self.budget_visits else SAMPLE
+        return ENUMERATE if hom_count(n, self.spec.genus) <= self.budget_visits else SAMPLE
 
 
 @dataclass(frozen=True)
@@ -114,13 +106,7 @@ def _exact_row(n: int, spec: ObservableSpec, prediction: Fraction, budget: int) 
 def _sampled_row(n: int, plan: ExperimentPlan, prediction: Fraction) -> ConvergenceRow:
     spec = plan.spec
     sampler = get_sampler(n, spec.genus)
-    stats = run_sampled_stats(
-        sampler,
-        _group_observables(spec),
-        plan.samples,
-        plan.seed,
-        shards=plan.shards,
-    )
+    stats = run_sampled_stats(sampler, _group_observables(spec), plan.samples, plan.seed)
     joint = stats.mean("joint")
     stderr = stats.stderr("joint")
     names = [f"group{i}" for i in range(len(spec.groups))]
@@ -217,16 +203,19 @@ def run_cycle_convergence(
         raise ValueError("cycle lengths must satisfy 1 <= d <= n")
     genus = words[0].genus
     sampler = get_sampler(n, genus)
+    lengths = range(1, max_d + 1)
     evaluators = {}
     for i, w in enumerate(words):
-        for d in range(1, max_d + 1):
+        for d in lengths:
             evaluators[f"c{i}_{d}"] = (lambda wi, di: lambda h: cycle_count(h, wi, di))(w, d)
-    pairs = []
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            for d1 in range(1, max_d + 1):
-                for d2 in range(1, max_d + 1):
-                    pairs.append((f"c{i}_{d1}", f"c{j}_{d2}"))
+    keys = [
+        ((i, j), (d1, d2))
+        for i in range(len(words))
+        for j in range(i + 1, len(words))
+        for d1 in lengths
+        for d2 in lengths
+    ]
+    pairs = [(f"c{i}_{d1}", f"c{j}_{d2}") for (i, j), (d1, d2) in keys]
     stats = run_sampled_stats(sampler, evaluators, samples, seed, pairs=pairs, shards=shards)
     rows = tuple(
         CycleRow(
@@ -237,24 +226,18 @@ def run_cycle_convergence(
             prediction=limit_cycle_moment([(i, d, 1)]),
         )
         for i in range(len(words))
-        for d in range(1, max_d + 1)
+        for d in lengths
     )
-    covs = []
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            for d1 in range(1, max_d + 1):
-                for d2 in range(1, max_d + 1):
-                    covs.append(
-                        CycleCovRow(
-                            word_indices=(i, j),
-                            cycle_lengths=(d1, d2),
-                            covariance=stats.covariance(f"c{i}_{d1}", f"c{j}_{d2}"),
-                            covariance_stderr=stats.covariance_stderr(
-                                f"c{i}_{d1}", f"c{j}_{d2}"
-                            ),
-                        )
-                    )
-    return CycleReport(n=n, samples=samples, seed=seed, rows=rows, covariances=tuple(covs))
+    covs = tuple(
+        CycleCovRow(
+            word_indices=indices,
+            cycle_lengths=ds,
+            covariance=stats.covariance(*pair),
+            covariance_stderr=stats.covariance_stderr(*pair),
+        )
+        for (indices, ds), pair in zip(keys, pairs)
+    )
+    return CycleReport(n=n, samples=samples, seed=seed, rows=rows, covariances=covs)
 
 
 @dataclass(frozen=True)

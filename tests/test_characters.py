@@ -18,7 +18,6 @@ from surfcover.characters import (
     factorization_count,
     get_table,
     hom_count,
-    mn_character,
     partitions,
     witten_zeta,
 )
@@ -78,15 +77,15 @@ def test_character_at_identity_is_dimension():
     for n in range(1, 9):
         ident = tuple([1] * n)
         for lam in partitions(n):
-            assert mn_character(lam, ident) == dim_irrep(lam)
+            assert get_table(n).chi(lam, ident) == dim_irrep(lam)
 
 
 def test_trivial_and_sign_rows():
     for n in range(1, 8):
         for mu in partitions(n):
-            assert mn_character((n,), mu) == 1
+            assert get_table(n).chi((n,), mu) == 1
             parity = (-1) ** (n - len(mu))
-            assert mn_character(tuple([1] * n), mu) == parity
+            assert get_table(n).chi(tuple([1] * n), mu) == parity
 
 
 # --- independent oracle: Young's seminormal representation -----------------
@@ -190,7 +189,7 @@ def test_mn_matches_seminormal_traces():
             for mu in partitions(n):
                 rep = class_representative(mu)
                 assert cycle_type(rep) == mu
-                assert mn_character(lam, mu) == seminormal_character(lam, mu), (lam, mu)
+                assert get_table(n).chi(lam, mu) == seminormal_character(lam, mu), (lam, mu)
 
 
 # ---------------------------------------------------------------------------

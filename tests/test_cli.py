@@ -109,6 +109,8 @@ def test_estimate_and_sample_deterministic():
     decoded = json.loads(s1)
     assert len(decoded["points"]) == 2
     assert "word_image_cycles" in decoded["points"][0]
+    one, _ = run_cli(["sample", "-n", "3", "--seed", "5"])
+    assert len(json.loads(one)["points"]) == 1
 
 
 def test_verify_convergence_command_exact():
@@ -195,6 +197,17 @@ def test_refused_table_exits_with_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["estimate", "-n", "29", "--spec", 'g="a1" exps=[1]']) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_out_of_range_values_exit_with_error(capsys):
+    for argv in (
+        ["sample", "-n", "3", "--seed", "-1"],
+        ["sample", "-n", "3", "--seed", str(2**64)],
+        ["sample", "-n", "3", "--count", "0"],
+        ["verify-cycles", "-n", "4", "--words", "a1", "--samples", "200", "--max-d", "0"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_timings_opt_in():

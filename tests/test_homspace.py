@@ -22,13 +22,12 @@ from surfcover.homspace import (
     generator_spec_expectation,
     get_buckets,
     get_sampler,
-    monte_carlo_expectation,
     run_sampled_stats,
     sample_hom,
     stream_for,
     uniform_in_class,
 )
-from surfcover.observables import ObservableGroup, ObservableSpec, fixed_points
+from surfcover.observables import ObservableGroup, ObservableSpec, fixed_points, joint_moment
 from surfcover.perms import (
     commutator,
     compose,
@@ -149,15 +148,6 @@ def test_exact_expectation_conjugation_inversion_invariance():
 
 def test_exact_expectation_empty_spec():
     assert exact_expectation(3, 2, spec_of()) == 1
-
-
-def test_exact_expectation_worker_split_matches_serial():
-    spec = spec_of(
-        ObservableGroup(w("a1"), (1, 2)), ObservableGroup(w("a2"), (1,))
-    )
-    serial = exact_expectation(3, 2, spec, workers=1)
-    split = exact_expectation(3, 2, spec, workers=2)
-    assert serial == split
 
 
 def test_generator_fix_expectation_matches_enumeration():
@@ -390,30 +380,36 @@ def test_sampler_mean_matches_exact_marginal_genus_four():
     assert abs(stats.mean("f") - exact) < 4 * stats.stderr("f")
 
 
+def joint_stats(plan, spec, samples, seed):
+    return run_sampled_stats(plan, {"joint": lambda h: joint_moment(h, spec)}, samples, seed)
+
+
 def test_monte_carlo_constant_observable():
     plan = get_sampler(3, 2)
-    result = monte_carlo_expectation(plan, spec_of(), 500, 3)
-    assert result.mean == 1.0
-    assert result.stderr == 0.0
-    assert result.exact_mean == 1
+    stats = joint_stats(plan, spec_of(), 500, 3)
+    assert stats.mean("joint") == 1.0
+    assert stats.stderr("joint") == 0.0
+    assert stats.sums["joint"] == 500
 
 
 def test_monte_carlo_seed_reproducibility():
     plan = get_sampler(4, 2)
     spec = f_spec("a1")
-    r1 = monte_carlo_expectation(plan, spec, 400, 17)
-    r2 = monte_carlo_expectation(plan, spec, 400, 17)
-    r3 = monte_carlo_expectation(plan, spec, 400, 18)
-    assert r1 == r2
-    assert r1 != r3
+
+    def summary(seed):
+        stats = joint_stats(plan, spec, 400, seed)
+        return stats.sums, stats.sumsqs, stats.shard_sums
+
+    assert summary(17) == summary(17)
+    assert summary(17) != summary(18)
 
 
 def test_stderr_shrinks_with_samples():
     plan = get_sampler(4, 2)
     spec = f_spec("a1")
-    small = monte_carlo_expectation(plan, spec, 2000, 5)
-    large = monte_carlo_expectation(plan, spec, 8000, 6)
-    ratio = large.stderr / small.stderr
+    small = joint_stats(plan, spec, 2000, 5)
+    large = joint_stats(plan, spec, 8000, 6)
+    ratio = large.stderr("joint") / small.stderr("joint")
     assert 0.4 < ratio < 0.6
 
 
@@ -426,6 +422,10 @@ def test_seed_validation():
         Seed(3, -1)
     assert stream_for(Seed(3, 1)).random() == stream_for(Seed(3, 1)).random()
     assert stream_for(Seed(3, 1)).random() != stream_for(Seed(3, 2)).random()
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError):
+            stream_for(bad)
+    assert stream_for(7, 2).random() == stream_for(Seed(7), 2).random()
 
 
 def test_get_buckets_caches():
