@@ -298,15 +298,51 @@ def _class_value(group, kappa) -> int:
     return value**group.power
 
 
-def generator_spec_expectation(n: int, genus: int, spec: ObservableSpec) -> Fraction:
-    """Exact mean of a spec whose groups each watch one generator, one handle each.
+def handle_product_means(n: int, genus: int, terms) -> list[Fraction]:
+    """Exact means of products of class functions of generators on distinct handles.
 
-    With generators x_1..x_m from distinct handles and classes K_1..K_m,
+    Each term is a tuple of class functions (callables on a cycle type), one
+    per watched generator, no two generators from one handle. With generators
+    x_1..x_m from distinct handles and classes K_1..K_m,
     #{phi : phi(x_i) in K_i for all i}
         = n!^(2g-1-m) * prod |K_i| * sum_lam d_lam^(2-2g) * prod chi_lam(K_i)^2,
-    so the mean factorises per handle and costs O(p(n)^2) per group, with no
-    enumeration. A word other than a single generator letter, or two groups on
-    one handle (as in ``a1 b1``), is not class-separable and raises ValueError.
+    so each mean is a sum over irreducibles of products of per-handle sums
+    sum_K |K| chi_lam(K)^2 f(K). Those cost O(p(n)^2) once per distinct class
+    function, shared by every term that uses it, with no enumeration.
+    """
+    table = get_table(n).freeze()
+    sums: dict = {}
+
+    def irrep_sums(f) -> list[int]:
+        row = sums.get(f)
+        if row is None:
+            row = [0] * len(table.hook_products)
+            for kappa, column, size in zip(table.partitions, table.matrix, table.class_sizes):
+                mass = size * f(kappa)
+                if mass:
+                    row = [r + mass * c * c for r, c in zip(row, column)]
+            sums[f] = row
+        return row
+
+    weights = irrep_sums(lambda kappa: 1)
+    scales = [h ** (2 * genus - 2) for h in table.hook_products]
+    means = []
+    for term in terms:
+        rows = [irrep_sums(f) for f in term]
+        weights_total = sum(s * w ** len(rows) for s, w in zip(scales, weights))
+        value_total = sum(s * prod(r[l] for r in rows) for l, s in enumerate(scales))
+        # Both totals carry the same factor n!^(1-m); with f = 1 the count is hom_count.
+        if weights_total * factorial(n) != hom_count(n, genus) * factorial(n) ** len(rows):
+            raise ArithmeticError("class weights disagree with the point count")
+        means.append(Fraction(value_total, weights_total))
+    return means
+
+
+def generator_spec_expectation(n: int, genus: int, spec: ObservableSpec) -> Fraction:
+    """Exact mean of a spec whose groups each watch one generator, one handle
+    each, by `handle_product_means`. A word other than a single generator
+    letter, or two groups on one handle (as in ``a1 b1``), is not
+    class-separable and raises ValueError.
     """
     if spec.genus != genus:
         raise ValueError("spec genus differs from requested genus")
@@ -317,28 +353,8 @@ def generator_spec_expectation(n: int, genus: int, spec: ObservableSpec) -> Frac
         handles.append(group.word.letters[0][0] // 2)
     if len(set(handles)) != len(handles):
         raise ValueError("two groups watch generators of one handle")
-    table = get_table(n).freeze()
-    values = [
-        [_class_value(group, kappa) for kappa in table.partitions] for group in spec.groups
-    ]
-    # Per irreducible: sum over classes of |K| chi^2 (weight) and of |K| chi^2 f (sums).
-    weights_total = 0
-    value_total = 0
-    for l, h in enumerate(table.hook_products):
-        weight = 0
-        sums = [0] * len(values)
-        for k, (column, size) in enumerate(zip(table.matrix, table.class_sizes)):
-            mass = size * column[l] ** 2
-            weight += mass
-            for i, row in enumerate(values):
-                sums[i] += mass * row[k]
-        scale = h ** (2 * genus - 2)
-        weights_total += scale * weight ** len(values)
-        value_total += scale * prod(sums)
-    # Both totals carry the same factor n!^(1-m); with f = 1 the count is hom_count.
-    if weights_total * factorial(n) != hom_count(n, genus) * factorial(n) ** len(values):
-        raise ArithmeticError("class weights disagree with the point count")
-    return Fraction(value_total, weights_total)
+    term = tuple(functools.partial(_class_value, group) for group in spec.groups)
+    return handle_product_means(n, genus, [term])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The acceptance gate: one test per criterion, at the stated tolerances.
 
-Criteria 6 and 7 test each sampled mean (1e5 samples, seed 0) against the
+Criteria 6, 7 and 8 test each sampled mean (1e5 samples, seed 0) against the
 exact finite-n mean it estimates, computed by character sums: it must lie
-within 3 standard errors of it. Convergence to the n -> infinity limit is
-tested separately: criterion 6 by an O(1/n) fit of the error against the
-limit 1, criterion 7 by exact joint moments that move strictly towards the
-limit 15 over n = 8, 12, 16. Each failure message is the criterion's details
-line, which gives the exact centre, the estimate and the z-score for each n.
+within 3 standard errors of it. Criterion 8 tests each sampled cross-word
+covariance the same way against its exact finite-n value. Convergence to the
+n -> infinity limit is tested separately: criterion 6 by an O(1/n) fit of the
+error against the limit 1, criteria 7 and 8 by exact moments that move
+strictly towards their limits (15; 1/d and 0) over n = 8, 12, 16. Each
+failure message is the criterion's details line, which gives the exact
+centre, the estimate and the z-score for each n.
 """
 
 import pytest

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import surfcover
+from surfcover import acceptance
 from surfcover import characters
 from surfcover.characters import commutator_count, factorization_count, hom_count
 from surfcover.homspace import (
@@ -22,6 +23,7 @@ from surfcover.homspace import (
     generator_spec_expectation,
     get_buckets,
     get_sampler,
+    handle_product_means,
     run_sampled_stats,
     sample_hom,
     stream_for,
@@ -185,6 +187,35 @@ def test_generator_spec_expectation_rejects_inseparable_specs():
     same_handle = spec_of(ObservableGroup(w("a1"), (1,)), ObservableGroup(w("b1"), (2,)))
     with pytest.raises(ValueError):
         generator_spec_expectation(4, 2, same_handle)
+
+
+def test_handle_product_means_fixed_points_are_generator_fix_expectation():
+    def fixed(kappa):
+        return Counter(kappa)[1]
+
+    for n in (8, 12, 16):
+        assert handle_product_means(n, 2, [(fixed,)]) == [generator_fix_expectation(n, 2)]
+
+
+def test_exact_cycle_moments_match_enumeration():
+    # E[C_d(a1)], E[C_d(a2)] and E[C_d1(a1) C_d2(a2)] summed over every point
+    sums = Counter()
+
+    def visit(h):
+        c1, c2 = Counter(cycle_type(h.images[0])), Counter(cycle_type(h.images[2]))
+        for d1 in acceptance.CYCLE_D:
+            sums["a1", d1] += c1[d1]
+            sums["a2", d1] += c2[d1]
+            for d2 in acceptance.CYCLE_D:
+                sums[d1, d2] += c1[d1] * c2[d2]
+
+    points = enumerate_homs(4, 2, visit)
+    means, covs = acceptance.AcceptanceContext().exact_cycle_moments(4)
+    for d in acceptance.CYCLE_D:
+        assert means[d] == Fraction(sums["a1", d], points) == Fraction(sums["a2", d], points)
+    for (d1, d2), cov in covs.items():
+        assert cov == Fraction(sums[d1, d2], points) - means[d1] * means[d2]
+    assert len(covs) == 9
 
 
 def test_conjugator_and_centralizer_helpers():
