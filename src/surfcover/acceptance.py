@@ -21,7 +21,6 @@ from .homspace import (
     SampledStats,
     Seed,
     enumerate_homs,
-    generator_fix_expectation,
     generator_spec_expectation,
     get_sampler,
     handle_product_means,
@@ -96,7 +95,6 @@ class AcceptanceContext:
         self.samples = samples
         self.seed = seed
         self._stats = {}
-        self._exact_f = {}
         self._exact_cycles = {}
         self.a1 = _word("a1")
         self.a2 = _word("a2")
@@ -143,27 +141,22 @@ class AcceptanceContext:
         return stats
 
     def exact_generator_mean(self, n: int) -> Fraction:
-        """Exact finite-n mean of F(a1), by the character-sum closed form."""
-        value = self._exact_f.get(n)
-        if value is None:
-            value = generator_fix_expectation(n, GENUS)
-            self._exact_f[n] = value
-        return value
+        """Exact finite-n mean of F(a1), the fixed points C_1(a1)."""
+        return self.exact_cycle_moments(n)[0][1]
 
     def exact_cycle_moments(self, n: int):
-        """Exact finite-n E_n[C_d(a_i)] by d, and Cov_n[C_d1(a1), C_d2(a2)] by
-        (d1, d2), from one pass of per-handle character sums. Every generator
-        has the same law, so the means serve a1 and a2 alike."""
-        moments = self._exact_cycles.get(n)
-        if moments is None:
+        """Exact finite-n E_n[C_d] of any generator by d, and Cov_n[C_d1(a1),
+        C_d2(a2)] by (d1, d2), from one pass of per-handle character sums."""
+        if n not in self._exact_cycles:
             count = {d: (lambda kappa, d=d: Counter(kappa)[d]) for d in CYCLE_D}
             pairs = list(itertools.product(CYCLE_D, CYCLE_D))
             terms = [(count[d],) for d in CYCLE_D] + [(count[x], count[y]) for x, y in pairs]
             values = handle_product_means(n, GENUS, terms)
             means = dict(zip(CYCLE_D, values))
-            covs = {(x, y): v - means[x] * means[y] for (x, y), v in zip(pairs, values[len(CYCLE_D):])}
-            moments = self._exact_cycles[n] = (means, covs)
-        return moments
+            joint = values[len(CYCLE_D):]
+            covs = {(x, y): v - means[x] * means[y] for (x, y), v in zip(pairs, joint)}
+            self._exact_cycles[n] = (means, covs)
+        return self._exact_cycles[n]
 
 
 # ---------------------------------------------------------------------------
@@ -450,42 +443,34 @@ def criterion_independence(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def criterion_cycle_statistics(ctx: AcceptanceContext) -> CriterionResult:
-    """Short-cycle means C_d(a1), C_d(a2) and cross-word covariances.
-
-    At n=16 each sampled mean must lie within 3 standard errors of the exact
-    finite-n mean E_16[C_d], and each sampled covariance within 3 of its
-    standard errors of the exact Cov_16. Convergence to the limits 1/d and 0
-    is tested on exact values: the limit oracle gives them, and every
-    |E_n - 1/d| and |Cov_n| falls strictly over n = 8, 12, 16.
+    """Short-cycle means C_d(a1), C_d(a2) and cross-word covariances at n=16,
+    each within 3 standard errors of its exact finite-n value. Convergence to
+    the limits 1/d and 0 is tested on exact values: the limit oracle gives
+    them, and every |E_n - 1/d| and |Cov_n| falls strictly over n = 8, 12, 16.
     """
     start = time.monotonic()
     stats = ctx.sampled_stats(16)
     means16, covs16 = ctx.exact_cycle_moments(16)
     lines = []
     means_ok = True
-    for word_tag in ("c1", "c2"):
-        for d in CYCLE_D:
-            inside, text = _band(stats, f"{word_tag}_{d}", 16, means16[d])
-            means_ok = means_ok and inside
-            lines.append(f"{word_tag}_{d} {text}")
+    for word, d in itertools.product((1, 2), CYCLE_D):
+        inside, text = _band(stats, f"c{word}_{d}", 16, means16[d])
+        means_ok = means_ok and inside
+        lines.append(f"c{word}_{d} {text}")
     cov_ok = True
     worst = 0.0
     for (d1, d2), exact in covs16.items():
         offset = stats.covariance(f"c1_{d1}", f"c2_{d2}") - float(exact)
         cov_se = stats.covariance_stderr(f"c1_{d1}", f"c2_{d2}")
-        if abs(offset) > 3 * cov_se:
-            cov_ok = False
+        cov_ok = cov_ok and abs(offset) <= 3 * cov_se
         worst = max(worst, abs(offset) / cov_se if cov_se > 0 else float("inf"))
-    limit_mean = {d: limit_cycle_moment([(0, d, 1)]) for d in CYCLE_D}
-    limit_cov = {
-        (x, y): limit_cycle_moment([(0, x, 1), (1, y, 1)]) - limit_mean[x] * limit_mean[y]
-        for x, y in covs16
-    }
-    limit_ok = all(limit_mean[d] == Fraction(1, d) for d in CYCLE_D)
-    limit_ok = limit_ok and not any(limit_cov.values())
+    limits = {d: limit_cycle_moment([(0, d, 1)]) for d in CYCLE_D}
+    limit_ok = all(limits[d] == Fraction(1, d) for d in CYCLE_D) and all(
+        limit_cycle_moment([(0, x, 1), (1, y, 1)]) == limits[x] * limits[y] for x, y in covs16
+    )
     exact = [ctx.exact_cycle_moments(n) for n in SAMPLED_N]
-    series = [[abs(means[d] - limit_mean[d]) for means, _ in exact] for d in CYCLE_D]
-    series += [[abs(covs[key] - limit_cov[key]) for _, covs in exact] for key in covs16]
+    series = [[abs(means[d] - limits[d]) for means, _ in exact] for d in CYCLE_D]
+    series += [[abs(covs[key]) for _, covs in exact] for key in covs16]
     falling_ok = all(a > b for s in series for a, b in zip(s, s[1:]))
     elapsed = time.monotonic() - start
     passed = means_ok and cov_ok and limit_ok and falling_ok

@@ -14,6 +14,9 @@ coordinate with centralizer-times-factorization weights (fast for classes
 near the identity). Both routes are exactly uniform; the estimated trial
 counts only pick which one runs.
 
+The first block mixes a bulk set of classes, drawn as uniform pairs kept by an
+exact integer Bernoulli test, with the rest drawn by class (see `sample_hom`).
+
 At genus >= 3 each middle block first draws a class pair: its own class and
 the class of the product after it. The cumulative table for that draw is
 built once per (class of the product so far, blocks left) from integer dot
@@ -46,7 +49,6 @@ from .observables import ObservableSpec, joint_moment
 from .perms import (
     HomPoint,
     Permutation,
-    commutator,
     compose,
     conjugate,
     cycle_type,
@@ -299,29 +301,22 @@ def _class_value(group, kappa) -> int:
 
 
 def handle_product_means(n: int, genus: int, terms) -> list[Fraction]:
-    """Exact means of products of class functions of generators on distinct handles.
-
-    Each term is a tuple of class functions (callables on a cycle type), one
-    per watched generator, no two generators from one handle. With generators
-    x_1..x_m from distinct handles and classes K_1..K_m,
+    """Exact mean of each term, a tuple of class functions (callables on a
+    cycle type) of generators x_1..x_m on distinct handles. With classes K_i,
     #{phi : phi(x_i) in K_i for all i}
         = n!^(2g-1-m) * prod |K_i| * sum_lam d_lam^(2-2g) * prod chi_lam(K_i)^2,
-    so each mean is a sum over irreducibles of products of per-handle sums
-    sum_K |K| chi_lam(K)^2 f(K). Those cost O(p(n)^2) once per distinct class
-    function, shared by every term that uses it, with no enumeration.
+    so a mean needs per-irreducible sums sum_K |K| chi_lam(K)^2 f(K), made in
+    O(p(n)^2) once per distinct class function and with no enumeration.
     """
     table = get_table(n).freeze()
-    sums: dict = {}
 
+    @functools.cache
     def irrep_sums(f) -> list[int]:
-        row = sums.get(f)
-        if row is None:
-            row = [0] * len(table.hook_products)
-            for kappa, column, size in zip(table.partitions, table.matrix, table.class_sizes):
-                mass = size * f(kappa)
-                if mass:
-                    row = [r + mass * c * c for r, c in zip(row, column)]
-            sums[f] = row
+        row = [0] * len(table.hook_products)
+        for kappa, column, size in zip(table.partitions, table.matrix, table.class_sizes):
+            mass = size * f(kappa)
+            if mass:
+                row = [r + mass * c * c for r, c in zip(row, column)]
         return row
 
     weights = irrep_sums(lambda kappa: 1)
@@ -397,10 +392,24 @@ class SamplerPlan:
         )
         if any(w < 0 for w in self.first_block_weights):
             raise ArithmeticError("negative stage weight")
-        self.first_block_cum = list(itertools.accumulate(self.first_block_weights))
-        self.total_weight = self.first_block_cum[-1]
+        self.total_weight = sum(self.first_block_weights)
         if self.total_weight != hom_count(n, genus):
             raise ArithmeticError("stage weights do not sum to the point count")
+        # Bulk set S = {K : N_{g-1}(K) <= M} for the N_{g-1} value M minimising
+        # T times the expected first-block trials, the integer n!^2 M + sum over
+        # K outside S of W_K trials(K), kept as a suffix sum down sorted classes.
+        weights = self.first_block_weights
+        live = sorted((stage[k], k) for k, w in enumerate(weights) if w)
+        costs, outside = [], 0
+        for value, group in itertools.groupby(reversed(live), key=lambda vk: vk[0]):
+            costs.append((self.n_factorial**2 * value + outside, value))
+            outside += sum(int(weights[k] * self.route_trials(k)[1]) for _, k in group)
+        self.bulk_limit = min(costs)[1]
+        self.bulk_thresholds = {parts[k]: v for v, k in live if v <= self.bulk_limit}
+        self.bulk_mass = sum(weights[k] for v, k in live if v <= self.bulk_limit)
+        self.rest_classes = tuple(sorted(k for v, k in live if v > self.bulk_limit))
+        rest_weights = (weights[k] for k in self.rest_classes)
+        self.rest_cum = list(itertools.accumulate(rest_weights, initial=self.bulk_mass))[1:]
         self._fiber_rows: dict[int, tuple[list[int], int]] = {}
         self._mid_draws: dict[tuple[int, int], tuple[list[int], array]] = {}
 
@@ -471,18 +480,18 @@ class SamplerPlan:
             self._mid_draws[key] = draw
         return draw
 
-    def by_transport(self, kidx: int) -> bool:
-        """Route choice for a pair whose commutator lies in class kidx: True
-        for rejection from uniform pairs plus a conjugation transport, False
-        for the class-weights route. Each route's expected trial count is
-        compared; rejection also runs whenever it needs at most 256 trials."""
+    def route_trials(self, kidx: int) -> tuple[bool, Fraction]:
+        """Route for a pair with commutator in class kidx, which has pairs, and
+        its expected trials: True for rejection from uniform pairs plus a
+        conjugation transport, n!^2 / (|K| N_1(K)); False for the class-weights
+        route, at most p(n) n! / N_1(K). Rejection runs when at most 256."""
         count = self.pair_counts[kidx]
-        hits = self.table.class_sizes[kidx] * count
-        reject = self.n_factorial**2 / hits if hits else float("inf")
-        classwise = (
-            len(self.table.partitions) * self.n_factorial / count if count else float("inf")
-        )
-        return reject <= max(256.0, classwise)
+        reject = Fraction(self.n_factorial**2, self.table.class_sizes[kidx] * count)
+        classwise = Fraction(len(self.table.partitions) * self.n_factorial, count)
+        return (True, reject) if reject <= max(256, classwise) else (False, classwise)
+
+    def by_transport(self, kidx: int) -> bool:
+        return self.route_trials(kidx)[0]
 
 
 @functools.cache
@@ -505,8 +514,9 @@ def _decode_perm(code: int, n: int) -> list[int]:
     return out
 
 
-def _pair_with_commutator_type(plan: SamplerPlan, target, rng: random.Random):
-    """Rejection loop: uniform pair whose commutator has the given cycle type."""
+def _pair_with_commutator_type(plan: SamplerPlan, accept, rng: random.Random):
+    """Rejection loop: uniform pairs until accept(cycle type of the commutator)
+    is true; returns the pair and its commutator."""
     n = plan.n
     fact = plan.n_factorial
     randrange = rng.randrange
@@ -534,28 +544,26 @@ def _pair_with_commutator_type(plan: SamplerPlan, target, rng: random.Random):
                     v = c[v]
                 lengths.append(size)
         lengths.sort(reverse=True)
-        if tuple(lengths) == target:
+        if accept(tuple(lengths)):
             return tuple(a), tuple(b), tuple(c)
 
 
-def _fiber_by_transport(plan: SamplerPlan, sigma: Permutation, rng: random.Random):
-    """Uniform pair with commutator sigma: reject random pairs into the class,
-    then conjugate into place by a uniform transporter."""
-    a, b, tau = _pair_with_commutator_type(plan, cycle_type(sigma), rng)
-    t = compose(centralizer_sample(tau, rng), conjugator_between(tau, sigma))
-    return conjugate(a, t), conjugate(b, t)
-
-
-def _fiber_by_class_weights(plan: SamplerPlan, sigma: Permutation, rng: random.Random):
-    """Uniform pair with commutator sigma: draw the class of `a` with exact
-    weights, place `a` by rejection, then pick the conjugating coordinate
-    uniformly over the right centralizer coset."""
+def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.Random):
+    """Uniform pair with commutator sigma. Transport route: reject random pairs
+    into sigma's class, then conjugate into place by a uniform transporter.
+    Class-weights route: draw the class of `a` with exact weights, place `a`
+    by rejection, then pick the conjugating coordinate uniformly over the
+    right centralizer coset."""
     sigma_class = plan.class_index[cycle_type(sigma)]
-    cum, total = plan.fiber_row(sigma_class)
-    if total == 0:
+    if plan.pair_counts[sigma_class] == 0:
         raise ValueError("no pairs have this commutator")
-    kidx = _draw_class(cum, total, rng)
-    mu = plan.table.partitions[kidx]
+    if plan.by_transport(sigma_class):
+        target = plan.table.partitions[sigma_class]
+        a, b, tau = _pair_with_commutator_type(plan, target.__eq__, rng)
+        t = compose(centralizer_sample(tau, rng), conjugator_between(tau, sigma))
+        return conjugate(a, t), conjugate(b, t)
+    cum, total = plan.fiber_row(sigma_class)
+    mu = plan.table.partitions[_draw_class(cum, total, rng)]
     while True:
         a = uniform_in_class(mu, plan.n, rng)
         moved = compose(a, sigma)
@@ -565,36 +573,31 @@ def _fiber_by_class_weights(plan: SamplerPlan, sigma: Permutation, rng: random.R
     return a, b
 
 
-def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.Random):
-    kidx = plan.class_index[cycle_type(sigma)]
-    if plan.pair_counts[kidx] == 0:
-        raise ValueError("no pairs have this commutator")
-    if plan.by_transport(kidx):
-        return _fiber_by_transport(plan, sigma, rng)
-    return _fiber_by_class_weights(plan, sigma, rng)
-
-
-def _sample_pair_in_class_union(plan: SamplerPlan, kidx: int, rng: random.Random):
-    """Uniform pair whose commutator lies anywhere in the given class."""
-    mu = plan.table.partitions[kidx]
-    if plan.by_transport(kidx):
-        a, b, _ = _pair_with_commutator_type(plan, mu, rng)
-        return a, b
-    sigma = uniform_in_class(mu, plan.n, rng)
-    return _fiber_by_class_weights(plan, sigma, rng)
-
-
 def sample_hom(plan: SamplerPlan, seed) -> HomPoint:
-    """One exactly uniform homomorphism point."""
+    """One exactly uniform homomorphism point; HomPoint checks its relator.
+
+    The first block, of class K with weight W_K = |K| N_1(K) N_{g-1}(K), is with
+    probability bulk_mass / #points a uniform pair kept iff K is in the bulk set
+    and randrange(M) < N_{g-1}(K): P(class K) = (|K| N_1(K) / n!^2) (N_{g-1}(K)
+    / M), proportional to W_K. Otherwise a class outside it is drawn by weight,
+    then a uniform element and a uniform pair with that commutator.
+    """
     rng = seed if isinstance(seed, random.Random) else stream_for(seed)
     n, genus = plan.n, plan.genus
     images: list[Permutation] = []
     partial = identity(n)
     for j in range(1, genus):
         if j == 1:
-            kidx = _draw_class(plan.first_block_cum, plan.total_weight, rng)
-            a, b = _sample_pair_in_class_union(plan, kidx, rng)
-            value = commutator(a, b)
+            r = rng.randrange(plan.total_weight)
+            if r < plan.bulk_mass:
+                thresholds, limit = plan.bulk_thresholds, plan.bulk_limit
+                a, b, value = _pair_with_commutator_type(
+                    plan, lambda mu: rng.randrange(limit) < thresholds.get(mu, 0), rng
+                )
+            else:
+                mu = plan.table.partitions[plan.rest_classes[bisect_right(plan.rest_cum, r)]]
+                value = uniform_in_class(mu, n, rng)
+                a, b = _sample_commutator_fiber(plan, value, rng)
         else:
             value = _draw_mid_block(plan, partial, genus - j, rng)
             a, b = _sample_commutator_fiber(plan, value, rng)

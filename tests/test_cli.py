@@ -228,23 +228,23 @@ def test_stdout_write(capsys):
 GOLDEN_CLI = [
     (
         ["sample", "-n", "9", "-g", "2", "--seed", "5", "--count", "20", "--word", "a1 b2"],
-        "296999d3f8507028f6257c9733122825ac452706b0cf0935c12f39615302af40",
+        "e841803435ff6010850095be02c40217d564120f1c6df03a80a0f27b905c82bf",
     ),
     (
         ["estimate", "-n", "12", "-g", "2", "--seed", "3", "--samples", "3000",
          "--spec", 'gamma="a1" exps=[2,3]; delta="a2" exps=[4]'],
-        "04527828365556665e92db0a01cafb522a59dc7c43c7d1112765cbf0a38e4833",
+        "e1d7f8ee91d15a1ee5ef3cf0e77870c968b2b07e12c46a664983af128ea46e2e",
     ),
     (
         # the n=6 row is sampled, so this pins the shard-gap standard error
         ["verify-independence", "--spec", 'gamma="a1" exps=[1,2]; delta="a2" exps=[1]',
          "--n-values", "2,3,6", "--budget-visits", "1000", "--samples", "3000", "--seed", "4"],
-        "b517535cb221b0af5b9c4604dae9184215b9ecaf96e6c0ddba6e6ab9c443020f",
+        "165f48476a72ee1e425e9f3831093717795b4f36626593b6e705abdaa03109e3",
     ),
     (
         ["verify-cycles", "-n", "8", "-g", "3", "--seed", "5", "--samples", "2000",
          "--words", "a1,a2,b3"],
-        "5354443b04187ecbb7895641afb9be0cc390037dd14fb37212188b9eb15c9e68",
+        "8a16c59828654510ef492635df048b1843b3f666eb3857b9c479e4224bf475a7",
     ),
     (
         ["enumerate", "-n", "4", "-g", "2",

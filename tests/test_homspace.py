@@ -361,18 +361,72 @@ def test_mid_draw_matches_factorization_count_reference(n, genus):
             assert (cum[-1] if cum else 0) == plan.block_counts[remaining + 1][r_class]
 
 
+def _bulk_limit_reference(plan):
+    """The bulk limit M, by costing every candidate against every live class."""
+    stage = plan.block_counts[plan.genus - 1]
+    live = [k for k, w in enumerate(plan.first_block_weights) if w]
+
+    def trials(k):
+        count = plan.pair_counts[k]
+        if plan.by_transport(k):
+            return Fraction(plan.n_factorial**2, plan.table.class_sizes[k] * count)
+        return Fraction(len(plan.table.partitions) * plan.n_factorial, count)
+
+    def cost(m):  # T times the expected first-block trials
+        outside = sum(plan.first_block_weights[k] * trials(k) for k in live if stage[k] > m)
+        return plan.n_factorial**2 * m + outside
+
+    return min(sorted({stage[k] for k in live}), key=cost)
+
+
+@pytest.mark.parametrize("n,genus", [(7, 2), (6, 3), (16, 2), (10, 3)])
+def test_first_block_bulk_set(n, genus):
+    plan = get_sampler(n, genus)
+    stage, weights = plan.block_counts[genus - 1], plan.first_block_weights
+    live = [k for k, w in enumerate(weights) if w]
+    bulk = [k for k in live if stage[k] <= plan.bulk_limit]
+    assert plan.bulk_thresholds == {plan.table.partitions[k]: stage[k] for k in bulk}
+    assert plan.bulk_mass == sum(weights[k] for k in bulk)
+    assert plan.rest_classes == tuple(k for k in live if k not in bulk)
+    rest_weights = [weights[k] for k in plan.rest_classes]
+    assert plan.rest_cum == list(itertools.accumulate(rest_weights, initial=plan.bulk_mass))[1:]
+    assert plan.bulk_mass + sum(rest_weights) == plan.total_weight
+    assert plan.bulk_limit == _bulk_limit_reference(plan)
+
+
+@pytest.mark.parametrize("n,genus,rest,quantile", [(7, 2, 1, 24.32), (6, 3, 0, 20.52)])
+def test_first_block_class_frequencies(n, genus, rest, quantile):
+    # quantile: the 0.999 point of chi-square with (live classes - 1) degrees of freedom
+    plan = get_sampler(n, genus)
+    assert len(plan.rest_classes) == rest  # at (7, 2) both the bulk and the rest branch run
+    samples = 4000
+    counts = Counter(
+        cycle_type(commutator(*h.images[:2])) for h in sample_stream(plan, 17, samples)
+    )
+    chi2 = 0.0
+    for mu, weight in zip(plan.table.partitions, plan.first_block_weights):
+        expected = samples * weight / plan.total_weight
+        if weight:
+            chi2 += (counts[mu] - expected) ** 2 / expected
+        else:
+            assert counts[mu] == 0
+    assert chi2 < quantile
+
+
 # sha256 of repr([h.images for the first k points of Seed(3), stream 0]); a
 # change to any seeded stream at genus 2 to 5 changes one of these digests.
 GOLDEN_STREAMS = [
-    (6, 4, 200, "bac329c55013487bcb6b80e7d8e398b0ee77ea55175ed8661be05f0027f4c551"),
-    (8, 3, 300, "b3eb9c004c4328fdd5d901347bd19c41751eb29d7c62612d22cdb05983aa15ef"),
-    (7, 5, 100, "199c2c8b5d95472541bb11e67773512c35db004a50aef97b24b3cb6a4ceb7322"),
-    (16, 2, 100, "f910e7b199a4f731160f677ead1ba53d92f247ad7d146b0b7abd4986cf9a3926"),
-    (12, 2, 200, "136ceaeba038fa542bbaf8127be90059c893baf7cadc42d0ecd1e0818ca5f163"),
+    (6, 4, 200, "06c1079b7abfd1b5a85fbf2ca4c24c1065ee98e12f6f1ed7dc427eb60180a768"),
+    (8, 3, 300, "d59c434657db3b75ccbbd61ab15213b1a2943d0879799df0ddf7b22c21f9b6f3"),
+    (7, 5, 100, "0525631c70ceaaff39abc18c43e9d92ea16f37f09b71bfe990dfd42f80e78bfc"),
+    (16, 2, 100, "b3bc345d85308800eb5aeb33e1bfb55bcc63e1e5a18d9856090826048b4fe11f"),
+    (12, 2, 200, "399e74f2d45d52925fcca3460c6844812e1853b9354b93d0646a492de3e8f11e"),
 ]
 
 
-@pytest.mark.parametrize("n,genus,k,digest", GOLDEN_STREAMS)
+@pytest.mark.parametrize(
+    "n,genus,k,digest", GOLDEN_STREAMS, ids=[f"{n}-{g}-{k}" for n, g, k, _ in GOLDEN_STREAMS]
+)
 def test_sample_hom_golden_stream(n, genus, k, digest):
     plan = get_sampler(n, genus)
     rng = stream_for(Seed(3), 0)

@@ -75,7 +75,7 @@ def test_run_convergence_empty_spec():
     assert report.prediction == 1
 
 
-def test_report_is_reproducible_and_thread_invariant():
+def test_report_is_reproducible():
     spec = spec_of(
         ObservableGroup(w("a1"), (1, 2)), ObservableGroup(w("a2"), (1,))
     )
