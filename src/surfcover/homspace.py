@@ -491,6 +491,7 @@ class SamplerPlan:
         return (True, reject) if reject <= max(256, classwise) else (False, classwise)
 
     def by_transport(self, kidx: int) -> bool:
+        """Whether class kidx takes the transport route; see route_trials."""
         return self.route_trials(kidx)[0]
 
 
@@ -549,11 +550,10 @@ def _pair_with_commutator_type(plan: SamplerPlan, accept, rng: random.Random):
 
 
 def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.Random):
-    """Uniform pair with commutator sigma. Transport route: reject random pairs
-    into sigma's class, then conjugate into place by a uniform transporter.
-    Class-weights route: draw the class of `a` with exact weights, place `a`
-    by rejection, then pick the conjugating coordinate uniformly over the
-    right centralizer coset."""
+    """Uniform pair with commutator sigma. Transport: reject random pairs into
+    sigma's class, then conjugate into place by a uniform transporter. Class
+    weights: draw the class of `a` with exact weights, place `a` by rejection,
+    then pick the conjugating coordinate uniformly over the right centralizer coset."""
     sigma_class = plan.class_index[cycle_type(sigma)]
     if plan.pair_counts[sigma_class] == 0:
         raise ValueError("no pairs have this commutator")
