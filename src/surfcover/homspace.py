@@ -7,12 +7,13 @@ Three access modes, all exact:
 * Monte Carlo estimation over the sampler with reproducible seeded streams.
 
 The sampler picks the conjugacy class of each commutator block with its exact
-integer weight, then draws a uniform pair inside the chosen fiber. Fibers are
-sampled either by rejection from uniform pairs followed by a conjugation
-transport (fast for large classes) or by choosing the class of the first
-coordinate with centralizer-times-factorization weights (fast for classes
-near the identity). Both routes are exactly uniform; the estimated trial
-counts only pick which one runs.
+integer weight, then draws a uniform pair inside the chosen fiber. Transport
+rejects pairs (a_mu, b), mu drawn with probability |mu|/n! and a_mu a fixed
+representative, then conjugates by a uniform transporter; it is exact since
+commutator classes are conjugation invariant. The uniform-class route keeps a
+uniform a in a uniform class mu iff a*sigma has type mu, so P(a) is
+proportional to 1/|mu|, hence to |C(a)|, the fibre's law. Transport runs iff
+|C_K| <= p(n), the route with fewer expected trials.
 
 The first block mixes a bulk set of classes, drawn as uniform pairs kept by an
 exact integer Bernoulli test, with the rest drawn by class (see `sample_hom`).
@@ -53,6 +54,7 @@ from .perms import (
     conjugate,
     cycle_type,
     cycles,
+    fix_count,
     identity,
     inverse,
 )
@@ -100,20 +102,34 @@ def stream_for(seed, *indices: int) -> RandomStream:
     return RandomStream(seed.value, seed.stream, *indices)
 
 
+@functools.cache
+def _class_representative(mu) -> Permutation:
+    """The permutation of cycle type mu whose cycles run over consecutive
+    blocks: (0 1 .. mu_1-1)(mu_1 .. mu_1+mu_2-1)..."""
+    out: list[int] = []
+    for length in mu:
+        start = len(out)
+        out += range(start + 1, start + length)
+        out.append(start)
+    return tuple(out)
+
+
+def _decode_perm(code: int, n: int) -> list[int]:
+    """Factorial-base decode; a bijection from range(n!) onto permutations."""
+    items = list(range(n))
+    out = []
+    for k in range(n, 0, -1):
+        code, r = divmod(code, k)
+        out.append(items.pop(r))
+    return out
+
+
 def uniform_in_class(mu, n: int, rng: random.Random) -> Permutation:
-    """Uniform permutation with cycle type mu, by chopping a random arrangement."""
+    """Uniform permutation with cycle type mu, by chopping a random arrangement
+    (one decoded rank) into consecutive cycles."""
     if sum(mu) != n:
         raise ValueError("cycle type size mismatch")
-    order = list(range(n))
-    rng.shuffle(order)
-    out = [0] * n
-    pos = 0
-    for length in mu:
-        block = order[pos:pos + length]
-        for a, b in zip(block, block[1:] + block[:1]):
-            out[a] = b
-        pos += length
-    return tuple(out)
+    return conjugate(_class_representative(mu), _decode_perm(rng.randrange(factorial(n)), n))
 
 
 def conjugator_between(p: Permutation, q: Permutation) -> Permutation:
@@ -395,49 +411,37 @@ class SamplerPlan:
         self.total_weight = sum(self.first_block_weights)
         if self.total_weight != hom_count(n, genus):
             raise ArithmeticError("stage weights do not sum to the point count")
+        # Fibre route per class K: transport, with n!^2 / (|K| N_1(K)) expected
+        # trials, when |C_K| <= p(n); otherwise the uniform-class route, with
+        # p(n) n! / N_1(K). Rejection from pairs draws `a` as a class
+        # representative a_mu with probability |mu| / n! (the last class_cum).
+        p = len(parts)
+        sizes, centralizers = self.table.class_sizes, self.table.centralizer_sizes
+        self.routes = tuple(c <= p for c in centralizers)
+        self.class_cum = list(itertools.accumulate(sizes))
+        self.class_reps = tuple(map(_class_representative, parts))
+        self.rep_inverses = tuple(map(inverse, self.class_reps))
         # Bulk set S = {K : N_{g-1}(K) <= M} for the N_{g-1} value M minimising
         # T times the expected first-block trials, the integer n!^2 M + sum over
-        # K outside S of W_K trials(K), kept as a suffix sum down sorted classes.
+        # K outside S of W_K trials(K) = |K| N_{g-1}(K) n! min(|C_K|, p(n)),
+        # kept as a suffix sum down sorted classes.
         weights = self.first_block_weights
+        fact = self.n_factorial
         live = sorted((stage[k], k) for k, w in enumerate(weights) if w)
         costs, outside = [], 0
         for value, group in itertools.groupby(reversed(live), key=lambda vk: vk[0]):
-            costs.append((self.n_factorial**2 * value + outside, value))
-            outside += sum(int(weights[k] * self.route_trials(k)[1]) for _, k in group)
+            costs.append((fact**2 * value + outside, value))
+            outside += value * fact * sum(sizes[k] * min(centralizers[k], p) for _, k in group)
         self.bulk_limit = min(costs)[1]
         self.bulk_thresholds = {parts[k]: v for v, k in live if v <= self.bulk_limit}
+        self.bulk_fixed = frozenset(mu.count(1) for mu in self.bulk_thresholds)
         self.bulk_mass = sum(weights[k] for v, k in live if v <= self.bulk_limit)
         self.rest_classes = tuple(sorted(k for v, k in live if v > self.bulk_limit))
         rest_weights = (weights[k] for k in self.rest_classes)
         self.rest_cum = list(itertools.accumulate(rest_weights, initial=self.bulk_mass))[1:]
-        self._fiber_rows: dict[int, tuple[list[int], int]] = {}
         self._mid_draws: dict[tuple[int, int], tuple[list[int], array]] = {}
 
     # -- lazy weight rows ---------------------------------------------------
-
-    def fiber_row(self, sigma_class: int):
-        """Cumulative weights over the class of `a` for pairs with a fixed
-        commutator in class sigma_class."""
-        row = self._fiber_rows.get(sigma_class)
-        if row is None:
-            sizes = self.table.class_sizes
-            centralizers = self.table.centralizer_sizes
-            square = self.n_factorial**2
-            v = [c * h for c, h in zip(self.chi_matrix[sigma_class], self.table.hook_products)]
-            weights = []
-            for k, row_k in enumerate(self.chi_matrix):
-                total = sum(map(mul, map(mul, row_k, row_k), v))
-                scaled = sizes[k] * sizes[k] * total
-                q, r = divmod(scaled, square)
-                if r or q < 0:
-                    raise ArithmeticError("fiber weight is not a whole count")
-                weights.append(centralizers[k] * q)
-            cum = list(itertools.accumulate(weights))
-            if cum[-1] != self.pair_counts[sigma_class]:
-                raise ArithmeticError("fiber weights disagree with the pair count")
-            row = (cum, cum[-1])
-            self._fiber_rows[sigma_class] = row
-        return row
 
     def mid_draw(self, r_class: int, remaining: int):
         """Cumulative weights over class pairs (u, s) for the next mid block,
@@ -480,19 +484,9 @@ class SamplerPlan:
             self._mid_draws[key] = draw
         return draw
 
-    def route_trials(self, kidx: int) -> tuple[bool, Fraction]:
-        """Route for a pair with commutator in class kidx, which has pairs, and
-        its expected trials: True for rejection from uniform pairs plus a
-        conjugation transport, n!^2 / (|K| N_1(K)); False for the class-weights
-        route, at most p(n) n! / N_1(K). Rejection runs when at most 256."""
-        count = self.pair_counts[kidx]
-        reject = Fraction(self.n_factorial**2, self.table.class_sizes[kidx] * count)
-        classwise = Fraction(len(self.table.partitions) * self.n_factorial, count)
-        return (True, reject) if reject <= max(256, classwise) else (False, classwise)
-
     def by_transport(self, kidx: int) -> bool:
-        """Whether class kidx takes the transport route; see route_trials."""
-        return self.route_trials(kidx)[0]
+        """Whether class kidx takes the transport route; see `routes`."""
+        return self.routes[kidx]
 
 
 @functools.cache
@@ -501,37 +495,29 @@ def get_sampler(n: int, genus: int) -> SamplerPlan:
     return SamplerPlan(n, genus)
 
 
-def _draw_class(cum: list[int], total: int, rng: random.Random) -> int:
-    return bisect_right(cum, rng.randrange(total))
-
-
-def _decode_perm(code: int, n: int) -> list[int]:
-    """Factorial-base decode; a bijection from range(n!) onto permutations."""
-    items = list(range(n))
-    out = []
-    for k in range(n, 0, -1):
-        code, r = divmod(code, k)
-        out.append(items.pop(r))
-    return out
-
-
-def _pair_with_commutator_type(plan: SamplerPlan, accept, rng: random.Random):
-    """Rejection loop: uniform pairs until accept(cycle type of the commutator)
-    is true; returns the pair and its commutator."""
+def _pair_with_commutator_type(plan: SamplerPlan, fixed_ok, accept, rng: random.Random):
+    """Rejection loop over pairs (a_mu, b), class mu drawn with probability
+    |mu| / n! and b uniform, until the commutator's fixed-point count is in
+    fixed_ok and accept(its cycle type) holds; returns the pair and its
+    commutator. A uniform conjugation t makes (a_mu, b) a uniform pair and keeps
+    the commutator's class, so callers conjugate by a uniform t or transporter."""
     n = plan.n
     fact = plan.n_factorial
+    class_cum, reps, rep_inverses = plan.class_cum, plan.class_reps, plan.rep_inverses
     randrange = rng.randrange
     indices = range(n)
     while True:
-        a = _decode_perm(randrange(fact), n)
+        kidx = bisect_right(class_cum, randrange(fact))
+        a = reps[kidx]
         b = _decode_perm(randrange(fact), n)
-        inv_a = [0] * n
+        # the commutator's fixed points are the a[b[i]] with a[b[i]] == b[a[i]]
+        if sum([a[y] == b[x] for x, y in zip(a, b)]) not in fixed_ok:
+            continue
         inv_b = [0] * n
         for i in indices:
-            inv_a[a[i]] = i
             inv_b[b[i]] = i
         # commutator a^-1 b^-1 a b, left to right
-        c = [b[a[inv_b[x]]] for x in inv_a]
+        c = [b[a[inv_b[x]]] for x in rep_inverses[kidx]]
         lengths = []
         seen = [False] * n
         for start in indices:
@@ -546,28 +532,29 @@ def _pair_with_commutator_type(plan: SamplerPlan, accept, rng: random.Random):
                 lengths.append(size)
         lengths.sort(reverse=True)
         if accept(tuple(lengths)):
-            return tuple(a), tuple(b), tuple(c)
+            return a, tuple(b), tuple(c)
 
 
 def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.Random):
-    """Uniform pair with commutator sigma. Transport: reject random pairs into
-    sigma's class, then conjugate into place by a uniform transporter. Class
-    weights: draw the class of `a` with exact weights, place `a` by rejection,
-    then pick the conjugating coordinate uniformly over the right centralizer coset."""
+    """Uniform pair with commutator sigma. Transport: pairs (a_mu, b) rejected
+    into sigma's class and conjugated into place by a uniform transporter, which
+    absorbs any extra uniform conjugation. Uniform class: a uniform in a uniform
+    class mu, kept iff a*sigma has type mu, so P(a) ~ 1/|mu| ~ |C(a)|; then b
+    uniform among the |C(a)| elements conjugating a to a*sigma."""
     sigma_class = plan.class_index[cycle_type(sigma)]
     if plan.pair_counts[sigma_class] == 0:
         raise ValueError("no pairs have this commutator")
+    parts = plan.table.partitions
     if plan.by_transport(sigma_class):
-        target = plan.table.partitions[sigma_class]
-        a, b, tau = _pair_with_commutator_type(plan, target.__eq__, rng)
+        target = parts[sigma_class]
+        a, b, tau = _pair_with_commutator_type(plan, (target.count(1),), target.__eq__, rng)
         t = compose(centralizer_sample(tau, rng), conjugator_between(tau, sigma))
         return conjugate(a, t), conjugate(b, t)
-    cum, total = plan.fiber_row(sigma_class)
-    mu = plan.table.partitions[_draw_class(cum, total, rng)]
     while True:
+        mu = parts[rng.randrange(len(parts))]
         a = uniform_in_class(mu, plan.n, rng)
         moved = compose(a, sigma)
-        if cycle_type(moved) == mu:
+        if fix_count(moved) == mu.count(1) and cycle_type(moved) == mu:
             break
     b = compose(centralizer_sample(a, rng), conjugator_between(a, moved))
     return a, b
@@ -579,8 +566,10 @@ def sample_hom(plan: SamplerPlan, seed) -> HomPoint:
     The first block, of class K with weight W_K = |K| N_1(K) N_{g-1}(K), is with
     probability bulk_mass / #points a uniform pair kept iff K is in the bulk set
     and randrange(M) < N_{g-1}(K): P(class K) = (|K| N_1(K) / n!^2) (N_{g-1}(K)
-    / M), proportional to W_K. Otherwise a class outside it is drawn by weight,
-    then a uniform element and a uniform pair with that commutator.
+    / M), proportional to W_K; the pair, drawn with a class representative as
+    its first coordinate, is then conjugated by a uniform t. Otherwise a class
+    outside it is drawn by weight, then a uniform element and a uniform pair
+    with that commutator.
     """
     rng = seed if isinstance(seed, random.Random) else stream_for(seed)
     n, genus = plan.n, plan.genus
@@ -590,10 +579,12 @@ def sample_hom(plan: SamplerPlan, seed) -> HomPoint:
         if j == 1:
             r = rng.randrange(plan.total_weight)
             if r < plan.bulk_mass:
-                thresholds, limit = plan.bulk_thresholds, plan.bulk_limit
+                get, limit = plan.bulk_thresholds.get, plan.bulk_limit
                 a, b, value = _pair_with_commutator_type(
-                    plan, lambda mu: rng.randrange(limit) < thresholds.get(mu, 0), rng
+                    plan, plan.bulk_fixed, lambda mu: rng.randrange(limit) < get(mu, 0), rng
                 )
+                t = _decode_perm(rng.randrange(plan.n_factorial), n)  # uniform
+                a, b, value = conjugate(a, t), conjugate(b, t), conjugate(value, t)
             else:
                 mu = plan.table.partitions[plan.rest_classes[bisect_right(plan.rest_cum, r)]]
                 value = uniform_in_class(mu, n, rng)
@@ -619,11 +610,13 @@ def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng
     parts = plan.table.partitions
     r_class = plan.class_index[cycle_type(partial)]
     cum, pairs = plan.mid_draw(r_class, remaining)
-    u_idx, s_idx = divmod(pairs[_draw_class(cum, cum[-1], rng)], len(parts))
+    u_idx, s_idx = divmod(pairs[bisect_right(cum, rng.randrange(cum[-1]))], len(parts))
     mu_u, mu_s = parts[u_idx], parts[s_idx]
+    ones = mu_s.count(1)
     while True:
         u = uniform_in_class(mu_u, plan.n, rng)
-        if cycle_type(compose(partial, u)) == mu_s:
+        moved = compose(partial, u)
+        if fix_count(moved) == ones and cycle_type(moved) == mu_s:
             return u
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import eq
 
 from .words import Word
 
@@ -72,7 +73,7 @@ def cycle_type(p: Permutation) -> tuple[int, ...]:
 
 
 def fix_count(p: Permutation) -> int:
-    return sum(1 for i, v in enumerate(p) if i == v)
+    return sum(map(eq, p, range(len(p))))
 
 
 def d_cycle_count(p: Permutation, d: int) -> int:

@@ -228,23 +228,23 @@ def test_stdout_write(capsys):
 GOLDEN_CLI = [
     (
         ["sample", "-n", "9", "-g", "2", "--seed", "5", "--count", "20", "--word", "a1 b2"],
-        "e841803435ff6010850095be02c40217d564120f1c6df03a80a0f27b905c82bf",
+        "cad3dca48d24581e48fd705e8583060e964ff74727110afb0ba6facbbf481182",
     ),
     (
         ["estimate", "-n", "12", "-g", "2", "--seed", "3", "--samples", "3000",
          "--spec", 'gamma="a1" exps=[2,3]; delta="a2" exps=[4]'],
-        "e1d7f8ee91d15a1ee5ef3cf0e77870c968b2b07e12c46a664983af128ea46e2e",
+        "d001b4fc62e0c09e0af9aa7e19fbd3e1594fe21f1dcb46bbca08ce6ed3907dcc",
     ),
     (
         # the n=6 row is sampled, so this pins the shard-gap standard error
         ["verify-independence", "--spec", 'gamma="a1" exps=[1,2]; delta="a2" exps=[1]',
          "--n-values", "2,3,6", "--budget-visits", "1000", "--samples", "3000", "--seed", "4"],
-        "165f48476a72ee1e425e9f3831093717795b4f36626593b6e705abdaa03109e3",
+        "f328bd3e1dc76378927e0a602c726ee242856d3735fa6638aaa716c06b33b12d",
     ),
     (
         ["verify-cycles", "-n", "8", "-g", "3", "--seed", "5", "--samples", "2000",
          "--words", "a1,a2,b3"],
-        "8a16c59828654510ef492635df048b1843b3f666eb3857b9c479e4224bf475a7",
+        "ade129f9ce492e39e3ed7116d8e6f37f5a963f3bd77587d2d45d7c8f14dc535d",
     ),
     (
         ["enumerate", "-n", "4", "-g", "2",

@@ -14,6 +14,7 @@ from surfcover.homspace import (
     PAIR_MATERIALIZE_LIMIT,
     BudgetExceededError,
     Seed,
+    _sample_commutator_fiber,
     build_buckets,
     centralizer_sample,
     conjugator_between,
@@ -36,6 +37,7 @@ from surfcover.perms import (
     conjugate,
     cycle_type,
     identity,
+    inverse,
 )
 from surfcover.words import IdentityWordError, word_from_text
 
@@ -394,11 +396,11 @@ def test_first_block_bulk_set(n, genus):
     assert plan.bulk_limit == _bulk_limit_reference(plan)
 
 
-@pytest.mark.parametrize("n,genus,rest,quantile", [(7, 2, 1, 24.32), (6, 3, 0, 20.52)])
+@pytest.mark.parametrize("n,genus,rest,quantile", [(7, 2, 1, 24.32), (6, 3, 1, 20.52)])
 def test_first_block_class_frequencies(n, genus, rest, quantile):
     # quantile: the 0.999 point of chi-square with (live classes - 1) degrees of freedom
     plan = get_sampler(n, genus)
-    assert len(plan.rest_classes) == rest  # at (7, 2) both the bulk and the rest branch run
+    assert len(plan.rest_classes) == rest  # both the bulk and the rest branch run
     samples = 4000
     counts = Counter(
         cycle_type(commutator(*h.images[:2])) for h in sample_stream(plan, 17, samples)
@@ -416,11 +418,11 @@ def test_first_block_class_frequencies(n, genus, rest, quantile):
 # sha256 of repr([h.images for the first k points of Seed(3), stream 0]); a
 # change to any seeded stream at genus 2 to 5 changes one of these digests.
 GOLDEN_STREAMS = [
-    (6, 4, 200, "06c1079b7abfd1b5a85fbf2ca4c24c1065ee98e12f6f1ed7dc427eb60180a768"),
-    (8, 3, 300, "d59c434657db3b75ccbbd61ab15213b1a2943d0879799df0ddf7b22c21f9b6f3"),
-    (7, 5, 100, "0525631c70ceaaff39abc18c43e9d92ea16f37f09b71bfe990dfd42f80e78bfc"),
-    (16, 2, 100, "b3bc345d85308800eb5aeb33e1bfb55bcc63e1e5a18d9856090826048b4fe11f"),
-    (12, 2, 200, "399e74f2d45d52925fcca3460c6844812e1853b9354b93d0646a492de3e8f11e"),
+    (6, 4, 200, "d58db36ebbdbd9c155722cc73061b8d7d246216e0386bfbeaa2e07c752d4ca74"),
+    (8, 3, 300, "c820d2bebeeebe1d1d4f093fea08c17b2c7b0208cbd16589c452ef7ac215315a"),
+    (7, 5, 100, "834e310910bdfcff030777316a01147b14c41624c4e2e75433e324cda72c72a9"),
+    (16, 2, 100, "295c58eef6c6c813c4fa81ecd67f4262a4c6651e9b6d2c94025ca0695df4852c"),
+    (12, 2, 200, "3026ae9301f7534945d4cabccadbc71616c3b6383dcd1f17e2ed0a8be9c78576"),
 ]
 
 
@@ -437,7 +439,7 @@ def test_sample_hom_golden_stream(n, genus, k, digest):
 def test_route_choice_covers_both_routes(monkeypatch):
     plan = get_sampler(12, 2)
     routes = [plan.by_transport(k) for k, count in enumerate(plan.pair_counts) if count > 0]
-    assert (sum(routes), len(routes)) == (26, 40)
+    assert (sum(routes), len(routes)) == (13, 40)
     # The golden stream at (12, 2) takes both routes.
     taken = Counter()
     choose = plan.by_transport
@@ -452,6 +454,73 @@ def test_route_choice_covers_both_routes(monkeypatch):
     for _ in range(200):
         sample_hom(plan, rng)
     assert taken[True] > 0 and taken[False] > 0
+
+
+def test_route_rule_takes_fewer_expected_trials():
+    for n in range(2, 19):
+        plan = get_sampler(n, 2)
+        p, fact = len(plan.table.partitions), plan.n_factorial
+        for k, count in enumerate(plan.pair_counts):
+            if count == 0:
+                continue
+            transport = Fraction(fact**2, plan.table.class_sizes[k] * count)
+            uniform_class = Fraction(p * fact, count)
+            assert plan.by_transport(k) == (plan.table.centralizer_sizes[k] <= p)
+            assert plan.by_transport(k) == (transport <= uniform_class)
+
+
+def test_class_representatives():
+    for n in (1, 5, 9, 16):
+        plan = get_sampler(n, 2)
+        assert plan.class_cum[-1] == plan.n_factorial
+        assert plan.class_cum == list(itertools.accumulate(plan.table.class_sizes))
+        for mu, rep, rep_inv in zip(plan.table.partitions, plan.class_reps, plan.rep_inverses):
+            assert cycle_type(rep) == mu
+            assert rep_inv == inverse(rep)
+
+
+def _fiber_class_weights(plan, sigma_class):
+    """|C_mu| #{a in mu : a sigma in mu} for every class mu, from the character
+    table: #{a in mu : a sigma in mu} = |mu|^2 sum_l chi_l(mu)^2 chi_l(sigma) h_l / n!^2."""
+    table = plan.table
+    v = [c * h for c, h in zip(table.matrix[sigma_class], table.hook_products)]
+    weights = []
+    for size, centralizer, row in zip(table.class_sizes, table.centralizer_sizes, table.matrix):
+        scaled = size * size * sum(c * c * x for c, x in zip(row, v))
+        count, rem = divmod(scaled, plan.n_factorial**2)
+        assert rem == 0 and count >= 0
+        weights.append(centralizer * count)
+    assert sum(weights) == plan.pair_counts[sigma_class]
+    return weights
+
+
+@pytest.mark.parametrize(
+    "mu,transport,quantile",
+    [((5, 1, 1), True, 32.91), ((3, 1, 1, 1, 1), False, 34.53)],
+    ids=["transport", "uniform-class"],
+)
+def test_fiber_route_class_law(mu, transport, quantile):
+    # quantile: the 0.999 point of chi-square with (positive weights - 1) degrees of freedom
+    plan = get_sampler(7, 2)
+    sigma_class = plan.class_index[mu]
+    assert plan.by_transport(sigma_class) is transport
+    sigma = plan.class_reps[sigma_class]
+    rng = stream_for(Seed(23), 7)
+    samples = 4000
+    counts = Counter()
+    for _ in range(samples):
+        a, b = _sample_commutator_fiber(plan, sigma, rng)
+        assert commutator(a, b) == sigma
+        counts[cycle_type(a)] += 1
+    weights = _fiber_class_weights(plan, sigma_class)
+    chi2 = 0.0
+    for kappa, weight in zip(plan.table.partitions, weights):
+        expected = samples * weight / plan.pair_counts[sigma_class]
+        if weight:
+            chi2 += (counts[kappa] - expected) ** 2 / expected
+        else:
+            assert counts[kappa] == 0
+    assert chi2 < quantile
 
 
 def test_sampler_mean_matches_exact_marginal_genus_four():
