@@ -413,8 +413,8 @@ class SamplerPlan:
             raise ArithmeticError("stage weights do not sum to the point count")
         # Fibre route per class K: transport, with n!^2 / (|K| N_1(K)) expected
         # trials, when |C_K| <= p(n); otherwise the uniform-class route, with
-        # p(n) n! / N_1(K). Rejection from pairs draws `a` as a class
-        # representative a_mu with probability |mu| / n! (the last class_cum).
+        # p(n) n! / N_1(K). Rejection from pairs draws `a` as the class
+        # representative a_mu with probability |mu| / n! (class_cum ends at n!).
         p = len(parts)
         sizes, centralizers = self.table.class_sizes, self.table.centralizer_sizes
         self.routes = tuple(c <= p for c in centralizers)
