@@ -144,6 +144,13 @@ class AcceptanceContext:
         """Exact finite-n mean of F(a1), the fixed points C_1(a1)."""
         return self.exact_cycle_moments(n)[0][1]
 
+    def fixed_point_fit(self):
+        """|E_n[F(a1)] - 1| by n, exact at EXACT_N and sampled at SAMPLED_N,
+        and its O(1/n) fit."""
+        errors = {n: float(abs(self.exact_generator_mean(n) - 1)) for n in EXACT_N}
+        errors.update((n, abs(self.sampled_stats(n).mean("f_a1") - 1.0)) for n in SAMPLED_N)
+        return errors, fit_inverse_n(errors.items())
+
     def exact_cycle_moments(self, n: int):
         """Exact finite-n E_n[C_d] of any generator by d, and Cov_n[C_d1(a1),
         C_d2(a2)] by (d1, d2), from one pass of per-handle character sums."""
@@ -368,26 +375,16 @@ def criterion_convergence(ctx: AcceptanceContext) -> CriterionResult:
     exact means at n = 2, 3, 4 and the sampled errors through an O(1/n) fit.
     """
     start = time.monotonic()
-    errors = []
-    lines = []
-    for n in EXACT_N:
-        value = ctx.exact_generator_mean(n)
-        errors.append((n, float(abs(value - 1))))
-        lines.append(f"n={n} exact={value}")
+    errors, fit = ctx.fixed_point_fit()
+    lines = [f"n={n} exact={ctx.exact_generator_mean(n)}" for n in EXACT_N]
     band_ok = True
-    sampled_errors = {}
     for n in SAMPLED_N:
-        stats = ctx.sampled_stats(n)
-        inside, text = _band(stats, "f_a1", n, ctx.exact_generator_mean(n))
-        err = abs(stats.mean("f_a1") - 1.0)
-        sampled_errors[n] = err
-        errors.append((n, err))
+        inside, text = _band(ctx.sampled_stats(n), "f_a1", n, ctx.exact_generator_mean(n))
         band_ok = band_ok and inside
-        lines.append(f"{text} |mean-1|={err:.5f}")
-    fit = fit_inverse_n(errors)
+        lines.append(f"{text} |mean-1|={errors[n]:.5f}")
     finite_ok = isfinite(fit.max_n_times_error)
     largest = max(SAMPLED_N)
-    decay_ok = sampled_errors[largest] < 5 * fit.coefficient / largest
+    decay_ok = errors[largest] < 5 * fit.coefficient / largest
     elapsed = time.monotonic() - start
     passed = band_ok and finite_ok and decay_ok
     details = (
@@ -421,9 +418,7 @@ def criterion_independence(ctx: AcceptanceContext) -> CriterionResult:
     gap8, _, _ = stats8.gap("joint15", factors)
     gap_ok = abs(gap16) < abs(gap8) or abs(gap16) <= 2 * gap16_se
 
-    errors = [(n, float(abs(ctx.exact_generator_mean(n) - 1))) for n in EXACT_N]
-    errors += [(n, abs(ctx.sampled_stats(n).mean("f_a1") - 1.0)) for n in SAMPLED_N]
-    c_fit = fit_inverse_n(errors).coefficient
+    c_fit = ctx.fixed_point_fit()[1].coefficient
     control_gap = abs(
         stats16.mean("ctrl_joint") - stats16.mean("f_a1") * stats16.mean("ctrl_2")
     )

@@ -266,3 +266,58 @@ def test_golden_cli_output(argv, digest):
     out, code = run_cli(argv)
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def _flag(key):
+    return f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+
+
+# every integer and string key each command takes, with non-default values
+CONFIG_RUNS = {
+    "sample": {"n": 5, "g": 3, "seed": 7, "samples": 10, "budget_visits": 100, "count": 2,
+               "spec": 'g="a1" exps=[1]', "word": "a1 b3", "format": "json"},
+    "estimate": {"n": 5, "g": 3, "seed": 7, "samples": 400, "budget_visits": 100,
+                 "spec": 'gamma="a1" exps=[1,2]; delta="a2" exps=[1]', "format": "json"},
+    "verify-convergence": {"n": 5, "g": 2, "seed": 7, "samples": 400, "budget_visits": 100,
+                           "spec": 'g="a1" exps=[1]', "n_values": "2,3,5", "format": "json"},
+    "verify-cycles": {"n": 5, "g": 2, "seed": 7, "samples": 400, "budget_visits": 100,
+                      "max_d": 2, "spec": 'g="a1" exps=[1]', "words": "a1,b2", "format": "csv"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+def test_config_values_match_flags(tmp_path, command):
+    values = CONFIG_RUNS[command]
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+    flags = [tok for key, value in values.items() for tok in (_flag(key), str(value))]
+    from_flags = run_cli([command, *flags])
+    assert run_cli([command, "--config", str(config)]) == from_flags
+
+
+N_COMMANDS = {
+    "characters": [], "zeta": ["-s", "2"], "hom-count": [], "enumerate": [],
+    "sample": [], "estimate": [], "verify-cycles": [],
+}
+
+
+def test_missing_n_exits_with_error(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text('g=2\nseed=1\nspec=g="a1" exps=[1]\nwords=a1\n')
+    for command, extra in N_COMMANDS.items():
+        for argv in ([command, *extra], [command, *extra, "--config", str(config)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {command} needs -n\n"
+    # commands that do not use -n do not range-check it
+    assert main(["predict", "-n", "0", "--spec", 'g="a1"']) == 0
+
+
+def test_unreadable_config_or_unwritable_out_exits_with_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (
+        ["hom-count", "-n", "3", "--config", str(missing / "run.conf")],
+        ["predict", "--spec", 'g="a1" exps=[4]', "--out", str(missing / "report.json")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
