@@ -107,6 +107,7 @@ DEFAULTS = {
     "n_values": "2,3,4",
 }
 _INT_KEYS = {"n"} | {key for key, value in DEFAULTS.items() if isinstance(value, int)}
+FORMATS = ("json", "csv")
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -120,6 +121,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
+    if args.format not in FORMATS:
+        raise ValueError(f"unknown format {args.format!r}")
     if args.g < 2:
         raise ValueError("genus must be >= 2")
     if args.count < 1:
@@ -297,10 +300,12 @@ def _selftest(args):
         only = [int(tok) for tok in args.only.split(",") if tok.strip()]
     results = acceptance.run_all(only=only, samples=args.samples, seed=args.seed, echo=print)
     failed = [r.number for r in results if not r.passed]
-    criteria = [
-        {"number": r.number, "name": r.name, "passed": r.passed, "details": r.details}
-        for r in results
-    ]
+    criteria = []
+    for r in results:
+        entry = {"number": r.number, "name": r.name, "passed": r.passed, "details": r.details}
+        if args.timings:
+            entry["runtime_ms"] = int(r.elapsed_s * 1000)
+        criteria.append(entry)
     return {"criteria": criteria, "failed": failed}, 1 if failed else 0
 
 
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-n", type=int, default=None, help="degree of the symmetric group")
         p.add_argument("-g", type=int, default=None, help="genus (default 2)")
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--format", default=None, choices=["json", "csv"])
+        p.add_argument("--format", default=None, choices=FORMATS)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--timings", action="store_true", help="include runtime_ms")
         p.add_argument("--budget-visits", dest="budget_visits", type=int, default=None)

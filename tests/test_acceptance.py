@@ -24,52 +24,30 @@ def ctx():
     return acceptance.AcceptanceContext(samples=SAMPLES, seed=SEED)
 
 
-def _report(result):
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] criterion {result.number} ({result.name}): {result.details}")
-    return result
+def _criterion_test(number):
+    def test(ctx):
+        result = acceptance.run_criterion(number, ctx)
+        print(result.line())
+        assert result.passed, result.details
+
+    return test
 
 
-def test_criterion_1_hom_counts(ctx):
-    result = _report(acceptance.criterion_hom_counts(ctx))
-    assert result.passed, result.details
+# one test per criterion, run in this order: 6, 7 and 8 reuse ctx's sampled passes
+test_criterion_1_hom_counts = _criterion_test(1)
+test_criterion_2_characters = _criterion_test(2)
+test_criterion_3_frobenius = _criterion_test(3)
+test_criterion_4_sampler_uniformity = _criterion_test(4)
+test_criterion_5_limit_oracle = _criterion_test(5)
+test_criterion_6_convergence = _criterion_test(6)
+test_criterion_7_independence = _criterion_test(7)
+test_criterion_8_cycle_statistics = _criterion_test(8)
+test_criterion_9_structural_identities = _criterion_test(9)
 
 
-def test_criterion_2_characters(ctx):
-    result = _report(acceptance.criterion_characters(ctx))
-    assert result.passed, result.details
-
-
-def test_criterion_3_frobenius(ctx):
-    result = _report(acceptance.criterion_frobenius(ctx))
-    assert result.passed, result.details
-
-
-def test_criterion_4_sampler_uniformity(ctx):
-    result = _report(acceptance.criterion_sampler_uniformity(ctx))
-    assert result.passed, result.details
-
-
-def test_criterion_5_limit_oracle(ctx):
-    result = _report(acceptance.criterion_limit_oracle(ctx))
-    assert result.passed, result.details
-
-
-def test_criterion_6_convergence(ctx):
-    result = _report(acceptance.criterion_convergence(ctx))
-    assert result.passed, result.details
-
-
-def test_criterion_7_independence(ctx):
-    result = _report(acceptance.criterion_independence(ctx))
-    assert result.passed, result.details
-
-
-def test_criterion_8_cycle_statistics(ctx):
-    result = _report(acceptance.criterion_cycle_statistics(ctx))
-    assert result.passed, result.details
-
-
-def test_criterion_9_structural_identities(ctx):
-    result = _report(acceptance.criterion_structural_identities(ctx))
-    assert result.passed, result.details
+def test_criterion_over_its_time_limit_fails(ctx, monkeypatch):
+    name, check, _ = acceptance.CRITERIA[5]
+    monkeypatch.setitem(acceptance.CRITERIA, 5, (name, check, 0.0))
+    result = acceptance.run_criterion(5, ctx)
+    assert not result.passed
+    assert result.details.endswith(f"took {result.elapsed_s:.1f}s, limit 0s")

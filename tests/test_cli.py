@@ -215,6 +215,10 @@ def test_timings_opt_in():
     assert b"runtime_ms" not in base
     timed, _ = run_cli(["enumerate", "-n", "2", "-g", "2", "--timings"])
     assert b"runtime_ms" in timed
+    base, _ = run_cli(["selftest", "--only", "5"])
+    assert "runtime_ms" not in json.loads(base)["criteria"][0]
+    timed, _ = run_cli(["selftest", "--only", "5", "--timings"])
+    assert json.loads(timed)["criteria"][0]["runtime_ms"] >= 0
 
 
 def test_stdout_write(capsys):
@@ -255,6 +259,10 @@ GOLDEN_CLI = [
         ["enumerate", "-n", "3", "-g", "3",
          "--spec", 'gamma="a1" exps=[1]; delta="b3" exps=[2]'],
         "5cbbad0e1ea26e0af4585f1b1ac33198a5ca8a4790e4b6161e67b551b43a2c29",
+    ),
+    (
+        ["selftest", "--only", "2,3,5"],
+        "7a41d555ee2c270320385f888e8f7ff8913018cdd122e846d3c6516f2e348154",
     ),
 ]
 
@@ -321,3 +329,15 @@ def test_unreadable_config_or_unwritable_out_exits_with_error(tmp_path, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_bad_config_format_exits_before_the_work(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("format=xml\n")
+    for argv in (
+        ["hom-count", "-n", "3"],
+        ["estimate", "-n", "8", "--samples", "20000", "--spec", 'g="a1" exps=[1]'],
+    ):
+        assert main([*argv, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown format 'xml'\n" and captured.out == ""
