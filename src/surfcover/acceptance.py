@@ -78,6 +78,7 @@ class CriterionResult:
     elapsed_s: float
 
     def line(self) -> str:
+        """The [PASS]/[FAIL] line that selftest and the test suite print."""
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.number} ({self.name}): {self.details}"
 
