@@ -226,10 +226,6 @@ class CharacterTable:
         visit((), 0, [1])
         return tuple(columns)
 
-    @property
-    def frozen(self) -> bool:
-        return self.matrix is not None
-
 
 @cache
 def get_table(n: int) -> CharacterTable:

@@ -49,12 +49,6 @@ def _format_value(v):
     return v
 
 
-def _decimal(v):
-    if isinstance(v, Fraction):
-        return float(v)
-    return v
-
-
 def emit_report(report, fmt: str = "json") -> bytes:
     """Serialize a report dict (or list of row dicts) to stable bytes."""
     if fmt == "json":
@@ -215,7 +209,7 @@ def _predict(args):
     }, 0
 
 
-# the display-only decimal column that follows each exact ConvergenceRow field
+# the display-only decimal column that follows each exact report row field
 _DECIMAL_KEYS = {
     "joint": "joint_decimal",
     "product_of_groups": "product_decimal",
@@ -223,12 +217,12 @@ _DECIMAL_KEYS = {
 }
 
 
-def _convergence_row(row) -> dict:
+def _row(row) -> dict:
     out = {}
     for field in dataclasses.fields(row):
         out[field.name] = value = getattr(row, field.name)
         if field.name in _DECIMAL_KEYS:
-            out[_DECIMAL_KEYS[field.name]] = _decimal(value)
+            out[_DECIMAL_KEYS[field.name]] = float(value)
     return out
 
 
@@ -241,7 +235,7 @@ def _verify_over_n(runner, args):
         "seed": report.seed,
         "samples": report.samples,
         "prediction": report.prediction,
-        "rows": [_convergence_row(r) for r in report.rows],
+        "rows": [_row(r) for r in report.rows],
     }
     if len(report.rows) >= 3:
         fit = fit_inverse_n([(r.n, r.abs_error) for r in report.rows])
@@ -263,26 +257,6 @@ def _verify_cycles(args):
         raise ValueError("verify-cycles needs --words")
     words = [word_from_text(tok, args.g) for tok in args.words.split(",")]
     report = run_cycle_convergence(words, args.max_d, args.n, args.samples, seed=args.seed)
-    rows = [
-        {
-            "word": i.word_index,
-            "d": i.cycle_length,
-            "mean": i.mean,
-            "stderr": i.stderr,
-            "prediction": i.prediction,
-            "prediction_decimal": _decimal(i.prediction),
-        }
-        for i in report.rows
-    ]
-    covs = [
-        {
-            "words": list(c.word_indices),
-            "lengths": list(c.cycle_lengths),
-            "covariance": c.covariance,
-            "covariance_stderr": c.covariance_stderr,
-        }
-        for c in report.covariances
-    ]
     # allow the known O(1/n) drift on top of the statistical band
     code = 0
     for i in report.rows:
@@ -290,7 +264,8 @@ def _verify_cycles(args):
             code = 1
     return {
         "n": report.n, "samples": report.samples, "seed": report.seed,
-        "rows": rows, "covariances": covs,
+        "rows": [_row(r) for r in report.rows],
+        "covariances": [_row(c) for c in report.covariances],
     }, code
 
 
@@ -298,7 +273,11 @@ def _selftest(args):
     only = None
     if args.only:
         only = [int(tok) for tok in args.only.split(",") if tok.strip()]
-    results = acceptance.run_all(only=only, samples=args.samples, seed=args.seed, echo=print)
+        for number in only:
+            if number not in acceptance.CRITERIA:
+                raise ValueError(f"unknown criterion {number}")
+    echo = partial(print, file=sys.stderr)
+    results = acceptance.run_all(only=only, samples=args.samples, seed=args.seed, echo=echo)
     failed = [r.number for r in results if not r.passed]
     criteria = []
     for r in results:

@@ -132,29 +132,21 @@ def uniform_in_class(mu, n: int, rng: random.Random) -> Permutation:
     return conjugate(_class_representative(mu), _decode_perm(rng.randrange(factorial(n)), n))
 
 
-def conjugator_between(p: Permutation, q: Permutation) -> Permutation:
-    """Some t with conjugate(p, t) == q; requires equal cycle types."""
-    cp = sorted(cycles(p), key=lambda c: (len(c), c[0]))
-    cq = sorted(cycles(q), key=lambda c: (len(c), c[0]))
-    if [len(c) for c in cp] != [len(c) for c in cq]:
+def uniform_conjugator(p: Permutation, q: Permutation, rng: random.Random) -> Permutation:
+    """Uniform t with conjugate(p, t) == q: the cycles of q of each length are
+    shuffled, then each cycle of p of that length maps onto the next one at a
+    uniform rotation. Raises ValueError unless p and q have one cycle type."""
+    by_length: dict[int, tuple[list, list]] = {}
+    for c in cycles(p):
+        by_length.setdefault(len(c), ([], []))[0].append(c)
+    for c in cycles(q):
+        by_length.setdefault(len(c), ([], []))[1].append(c)
+    if any(len(sources) != len(images) for sources, images in by_length.values()):
         raise ValueError("permutations are not conjugate")
     t = [0] * len(p)
-    for a, b in zip(cp, cq):
-        for x, y in zip(a, b):
-            t[x] = y
-    return tuple(t)
-
-
-def centralizer_sample(p: Permutation, rng: random.Random) -> Permutation:
-    """Uniform element commuting with p: permute equal-length cycles, rotate each."""
-    by_length: dict[int, list[list[int]]] = {}
-    for c in cycles(p):
-        by_length.setdefault(len(c), []).append(c)
-    t = [0] * len(p)
-    for length, group in by_length.items():
-        images = group[:]
+    for length, (sources, images) in by_length.items():
         rng.shuffle(images)
-        for src, dst in zip(group, images):
+        for src, dst in zip(sources, images):
             offset = rng.randrange(length)
             for j, x in enumerate(src):
                 t[x] = dst[(j + offset) % length]
@@ -178,10 +170,6 @@ class CommutatorBuckets:
 
     def keys(self) -> list[Permutation]:
         return list(self._key_list)
-
-    def size(self, sigma: Permutation) -> int:
-        packed = self._pair_ranks.get(tuple(sigma))
-        return len(packed) if packed is not None else 0
 
     def pairs(self, sigma: Permutation):
         packed = self._pair_ranks.get(tuple(sigma))
@@ -286,25 +274,8 @@ def exact_expectation(
 
 
 def generator_fix_expectation(n: int, genus: int) -> Fraction:
-    """Exact mean fixed-point count of a single generator's image.
-
-    The image of one generator has a class-function law whose weight on class
-    kappa is the character sum over irreducibles of chi(kappa)^2 times the
-    hook-product power matching the genus; this gives a closed form that
-    cross-checks both enumeration and sampling.
-    """
-    table = get_table(n).freeze()
-    powers = [h ** (2 * genus - 2) for h in table.hook_products]
-    weights_total = 0
-    fix_total = 0
-    for kappa, kappa_size, column in zip(table.partitions, table.class_sizes, table.matrix):
-        w = sum(c * c * p for c, p in zip(column, powers))
-        fixed = sum(1 for part in kappa if part == 1)
-        weights_total += kappa_size * w
-        fix_total += kappa_size * fixed * w
-    if weights_total != hom_count(n, genus):
-        raise ArithmeticError("marginal weights disagree with the point count")
-    return Fraction(fix_total, weights_total)
+    """Exact mean fixed-point count of a single generator's image."""
+    return handle_product_means(n, genus, [(lambda kappa: kappa.count(1),)])[0]
 
 
 def _class_value(group, kappa) -> int:
@@ -384,7 +355,6 @@ class SamplerPlan:
         self.genus = genus
         self.table: CharacterTable = get_table(n).freeze()
         parts = self.table.partitions
-        self.class_index = {mu: i for i, mu in enumerate(parts)}
         self.n_factorial = factorial(n)
         # Dense character matrix indexed [class][irrep], shared with the table.
         self.chi_matrix = self.table.matrix
@@ -484,10 +454,6 @@ class SamplerPlan:
             self._mid_draws[key] = draw
         return draw
 
-    def by_transport(self, kidx: int) -> bool:
-        """Whether class kidx takes the transport route; see `routes`."""
-        return self.routes[kidx]
-
 
 @functools.cache
 def get_sampler(n: int, genus: int) -> SamplerPlan:
@@ -541,14 +507,14 @@ def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.
     absorbs any extra uniform conjugation. Uniform class: a uniform in a uniform
     class mu, kept iff a*sigma has type mu, so P(a) ~ 1/|mu| ~ |C(a)|; then b
     uniform among the |C(a)| elements conjugating a to a*sigma."""
-    sigma_class = plan.class_index[cycle_type(sigma)]
+    sigma_class = plan.table.index[cycle_type(sigma)]
     if plan.pair_counts[sigma_class] == 0:
         raise ValueError("no pairs have this commutator")
     parts = plan.table.partitions
-    if plan.by_transport(sigma_class):
+    if plan.routes[sigma_class]:
         target = parts[sigma_class]
         a, b, tau = _pair_with_commutator_type(plan, (target.count(1),), target.__eq__, rng)
-        t = compose(centralizer_sample(tau, rng), conjugator_between(tau, sigma))
+        t = uniform_conjugator(tau, sigma, rng)
         return conjugate(a, t), conjugate(b, t)
     while True:
         mu = parts[rng.randrange(len(parts))]
@@ -556,8 +522,7 @@ def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.
         moved = compose(a, sigma)
         if fix_count(moved) == mu.count(1) and cycle_type(moved) == mu:
             break
-    b = compose(centralizer_sample(a, rng), conjugator_between(a, moved))
-    return a, b
+    return a, uniform_conjugator(a, moved, rng)
 
 
 def sample_hom(plan: SamplerPlan, seed) -> HomPoint:
@@ -573,25 +538,22 @@ def sample_hom(plan: SamplerPlan, seed) -> HomPoint:
     """
     rng = seed if isinstance(seed, random.Random) else stream_for(seed)
     n, genus = plan.n, plan.genus
-    images: list[Permutation] = []
-    partial = identity(n)
-    for j in range(1, genus):
-        if j == 1:
-            r = rng.randrange(plan.total_weight)
-            if r < plan.bulk_mass:
-                get, limit = plan.bulk_thresholds.get, plan.bulk_limit
-                a, b, value = _pair_with_commutator_type(
-                    plan, plan.bulk_fixed, lambda mu: rng.randrange(limit) < get(mu, 0), rng
-                )
-                t = _decode_perm(rng.randrange(plan.n_factorial), n)  # uniform
-                a, b, value = conjugate(a, t), conjugate(b, t), conjugate(value, t)
-            else:
-                mu = plan.table.partitions[plan.rest_classes[bisect_right(plan.rest_cum, r)]]
-                value = uniform_in_class(mu, n, rng)
-                a, b = _sample_commutator_fiber(plan, value, rng)
-        else:
-            value = _draw_mid_block(plan, partial, genus - j, rng)
-            a, b = _sample_commutator_fiber(plan, value, rng)
+    r = rng.randrange(plan.total_weight)
+    if r < plan.bulk_mass:
+        get, limit = plan.bulk_thresholds.get, plan.bulk_limit
+        a, b, partial = _pair_with_commutator_type(
+            plan, plan.bulk_fixed, lambda mu: rng.randrange(limit) < get(mu, 0), rng
+        )
+        t = _decode_perm(rng.randrange(plan.n_factorial), n)  # uniform
+        a, b, partial = conjugate(a, t), conjugate(b, t), conjugate(partial, t)
+    else:
+        mu = plan.table.partitions[plan.rest_classes[bisect_right(plan.rest_cum, r)]]
+        partial = uniform_in_class(mu, n, rng)
+        a, b = _sample_commutator_fiber(plan, partial, rng)
+    images = [a, b]
+    for j in range(2, genus):
+        value = _draw_mid_block(plan, partial, genus - j, rng)
+        a, b = _sample_commutator_fiber(plan, value, rng)
         images += [a, b]
         partial = compose(partial, value)
     a, b = _sample_commutator_fiber(plan, inverse(partial), rng)
@@ -608,7 +570,7 @@ def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng
     placed by rejection from uniform elements of class u.
     """
     parts = plan.table.partitions
-    r_class = plan.class_index[cycle_type(partial)]
+    r_class = plan.table.index[cycle_type(partial)]
     cum, pairs = plan.mid_draw(r_class, remaining)
     u_idx, s_idx = divmod(pairs[bisect_right(cum, rng.randrange(cum[-1]))], len(parts))
     mu_u, mu_s = parts[u_idx], parts[s_idx]
@@ -635,13 +597,10 @@ class SampledStats:
         self.sumsqs = {name: 0 for name in self.names}
         self.shard_sums = {name: [0] * shards for name in self.names}
         self.shard_counts = [0] * shards
-        self.pair_sums: dict[tuple[str, str], int] = {}
         self.shard_pair_sums: dict[tuple[str, str], list[int]] = {}
 
     def track_pair(self, name_x: str, name_y: str) -> None:
-        key = (name_x, name_y)
-        self.pair_sums.setdefault(key, 0)
-        self.shard_pair_sums.setdefault(key, [0] * self.shards)
+        self.shard_pair_sums.setdefault((name_x, name_y), [0] * self.shards)
 
     def collect(self, plan: SamplerPlan, evaluate, seed) -> None:
         """Add evaluate(h), a dict of named values, for `samples` uniform
@@ -660,10 +619,8 @@ class SampledStats:
             self.sums[name] += v
             self.sumsqs[name] += v * v
             self.shard_sums[name][shard] += v
-        for (nx, ny), _ in self.pair_sums.items():
-            prod = values[nx] * values[ny]
-            self.pair_sums[(nx, ny)] += prod
-            self.shard_pair_sums[(nx, ny)][shard] += prod
+        for (nx, ny), row in self.shard_pair_sums.items():
+            row[shard] += values[nx] * values[ny]
 
     def mean(self, name: str) -> float:
         return self.sums[name] / self.samples
@@ -698,9 +655,9 @@ class SampledStats:
         return self.mean(joint) - product, product, (spread / k) ** 0.5
 
     def covariance(self, name_x: str, name_y: str) -> float:
-        key = (name_x, name_y)
         mx, my = self.mean(name_x), self.mean(name_y)
-        return (self.pair_sums[key] - self.samples * mx * my) / (self.samples - 1)
+        total = sum(self.shard_pair_sums[name_x, name_y])
+        return (total - self.samples * mx * my) / (self.samples - 1)
 
     def covariance_stderr(self, name_x: str, name_y: str) -> float:
         """Spread of per-shard covariances, scaled by the shard count."""

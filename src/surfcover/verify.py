@@ -168,8 +168,8 @@ def true_control_prediction(base: Word, exponents) -> Fraction:
 
 @dataclass(frozen=True)
 class CycleRow:
-    word_index: int
-    cycle_length: int
+    word: int
+    d: int
     mean: float
     stderr: float
     prediction: Fraction
@@ -177,8 +177,8 @@ class CycleRow:
 
 @dataclass(frozen=True)
 class CycleCovRow:
-    word_indices: tuple[int, int]
-    cycle_lengths: tuple[int, int]
+    words: tuple[int, int]
+    lengths: tuple[int, int]
     covariance: float
     covariance_stderr: float
 
@@ -219,8 +219,8 @@ def run_cycle_convergence(
     stats = run_sampled_stats(sampler, evaluators, samples, seed, pairs=pairs, shards=shards)
     rows = tuple(
         CycleRow(
-            word_index=i,
-            cycle_length=d,
+            word=i,
+            d=d,
             mean=stats.mean(f"c{i}_{d}"),
             stderr=stats.stderr(f"c{i}_{d}"),
             prediction=limit_cycle_moment([(i, d, 1)]),
@@ -230,8 +230,8 @@ def run_cycle_convergence(
     )
     covs = tuple(
         CycleCovRow(
-            word_indices=indices,
-            cycle_lengths=ds,
+            words=indices,
+            lengths=ds,
             covariance=stats.covariance(*pair),
             covariance_stderr=stats.covariance_stderr(*pair),
         )

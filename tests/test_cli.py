@@ -341,3 +341,22 @@ def test_bad_config_format_exits_before_the_work(tmp_path, capsys):
         assert main([*argv, "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: unknown format 'xml'\n" and captured.out == ""
+
+
+def test_unknown_criterion_exits_before_any_criterion_runs(capsys):
+    for only in ("10", "5,10"):
+        assert main(["selftest", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown criterion 10\n" and captured.out == ""
+
+
+def test_selftest_lines_go_to_stderr_and_report_alone_to_stdout(tmp_path, capsys):
+    assert main(["selftest", "--only", "5"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["criteria"][0]["number"] == 5
+    assert captured.err.startswith("[PASS] criterion 5 (limit oracle):")
+    report = tmp_path / "report.json"
+    assert main(["selftest", "--only", "5", "--out", str(report)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("[PASS] criterion 5")
+    assert json.loads(report.read_text())["failed"] == []

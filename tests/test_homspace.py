@@ -16,8 +16,6 @@ from surfcover.homspace import (
     Seed,
     _sample_commutator_fiber,
     build_buckets,
-    centralizer_sample,
-    conjugator_between,
     enumerate_homs,
     exact_expectation,
     generator_fix_expectation,
@@ -28,6 +26,7 @@ from surfcover.homspace import (
     run_sampled_stats,
     sample_hom,
     stream_for,
+    uniform_conjugator,
     uniform_in_class,
 )
 from surfcover.observables import ObservableGroup, ObservableSpec, fixed_points, joint_moment
@@ -61,13 +60,13 @@ def f_spec(text, genus=2):
 
 def test_buckets_small():
     b2 = build_buckets(2)
-    assert b2.size(identity(2)) == 4
+    assert len(list(b2.pairs(identity(2)))) == 4
     assert b2.total_pairs() == 4
     b3 = build_buckets(3)
-    assert b3.size(identity(3)) == 18
+    assert len(list(b3.pairs(identity(3)))) == 18
     assert b3.total_pairs() == 36
     for sigma in b3.keys():
-        assert b3.size(sigma) == commutator_count(3, cycle_type(sigma))
+        assert len(list(b3.pairs(sigma))) == commutator_count(3, cycle_type(sigma))
         for a, b in b3.pairs(sigma):
             assert commutator(a, b) == sigma
 
@@ -220,28 +219,24 @@ def test_exact_cycle_moments_match_enumeration():
     assert len(covs) == 9
 
 
-def test_conjugator_and_centralizer_helpers():
-    rng = stream_for(99)
-    for _ in range(60):
-        n = rng.randrange(2, 9)
-        mu = tuple(sorted((len(b) for b in _random_blocks(rng, n)), reverse=True))
-        p = uniform_in_class(mu, n, rng)
-        q = uniform_in_class(mu, n, rng)
-        assert cycle_type(p) == mu and cycle_type(q) == mu
-        t = conjugator_between(p, q)
-        assert conjugate(p, t) == q
-        c = centralizer_sample(p, rng)
-        assert compose(c, p) == compose(p, c)
-
-
-def _random_blocks(rng, n):
-    blocks = []
-    left = n
-    while left:
-        size = rng.randrange(1, left + 1)
-        blocks.append(range(size))
-        left -= size
-    return blocks
+@pytest.mark.parametrize(
+    "p,q,quantile",
+    [((1, 0, 2, 3), (0, 3, 2, 1), 16.27), ((1, 0, 3, 2), (2, 3, 0, 1), 24.32)],
+    ids=["2-1-1", "2-2"],
+)
+def test_uniform_conjugator_is_uniform_over_transporters(p, q, quantile):
+    # quantile: the 0.999 point of chi-square with (|C(p)| - 1) degrees of freedom
+    transporters = [t for t in itertools.permutations(range(4)) if conjugate(p, t) == q]
+    rng = stream_for(Seed(41), 4)
+    samples = 2000
+    counts = Counter(uniform_conjugator(p, q, rng) for _ in range(samples))
+    assert set(counts) == set(transporters)
+    expected = samples / len(transporters)
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < quantile
+    with pytest.raises(ValueError):
+        uniform_conjugator((1, 0, 2, 3), (1, 0, 3, 2), rng)
+    with pytest.raises(ValueError):
+        uniform_conjugator((1, 2, 0, 3), (1, 0, 3, 2), rng)
 
 
 def test_uniform_in_class_is_uniform():
@@ -370,7 +365,7 @@ def _bulk_limit_reference(plan):
 
     def trials(k):
         count = plan.pair_counts[k]
-        if plan.by_transport(k):
+        if plan.routes[k]:
             return Fraction(plan.n_factorial**2, plan.table.class_sizes[k] * count)
         return Fraction(len(plan.table.partitions) * plan.n_factorial, count)
 
@@ -436,23 +431,17 @@ def test_sample_hom_golden_stream(n, genus, k, digest):
     assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
 
 
-def test_route_choice_covers_both_routes(monkeypatch):
+def test_route_choice_covers_both_routes():
     plan = get_sampler(12, 2)
-    routes = [plan.by_transport(k) for k, count in enumerate(plan.pair_counts) if count > 0]
+    routes = [plan.routes[k] for k, count in enumerate(plan.pair_counts) if count > 0]
     assert (sum(routes), len(routes)) == (13, 40)
-    # The golden stream at (12, 2) takes both routes.
-    taken = Counter()
-    choose = plan.by_transport
-
-    def counted(kidx):
-        route = choose(kidx)
-        taken[route] += 1
-        return route
-
-    monkeypatch.setattr(plan, "by_transport", counted)
+    # The golden stream at (12, 2) takes both routes in its last block.
     rng = stream_for(Seed(3), 0)
+    taken = Counter()
     for _ in range(200):
-        sample_hom(plan, rng)
+        images = sample_hom(plan, rng).images
+        last = plan.table.index[cycle_type(commutator(images[2], images[3]))]
+        taken[plan.routes[last]] += 1
     assert taken[True] > 0 and taken[False] > 0
 
 
@@ -465,8 +454,8 @@ def test_route_rule_takes_fewer_expected_trials():
                 continue
             transport = Fraction(fact**2, plan.table.class_sizes[k] * count)
             uniform_class = Fraction(p * fact, count)
-            assert plan.by_transport(k) == (plan.table.centralizer_sizes[k] <= p)
-            assert plan.by_transport(k) == (transport <= uniform_class)
+            assert plan.routes[k] == (plan.table.centralizer_sizes[k] <= p)
+            assert plan.routes[k] == (transport <= uniform_class)
 
 
 def test_class_representatives():
@@ -502,8 +491,8 @@ def _fiber_class_weights(plan, sigma_class):
 def test_fiber_route_class_law(mu, transport, quantile):
     # quantile: the 0.999 point of chi-square with (positive weights - 1) degrees of freedom
     plan = get_sampler(7, 2)
-    sigma_class = plan.class_index[mu]
-    assert plan.by_transport(sigma_class) is transport
+    sigma_class = plan.table.index[mu]
+    assert plan.routes[sigma_class] is transport
     sigma = plan.class_reps[sigma_class]
     rng = stream_for(Seed(23), 7)
     samples = 4000
