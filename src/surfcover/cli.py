@@ -46,21 +46,25 @@ def _format_value(v):
         if v.denominator == 1:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, tuple):  # a CSV cell such as a covariance's word pair; JSON lists these
+        return " ".join(map(str, v))
     return v
 
 
 def emit_report(report, fmt: str = "json") -> bytes:
-    """Serialize a report dict (or list of row dicts) to stable bytes."""
+    """Serialize a report dict (or list of row dicts) to stable bytes. CSV writes
+    each list of rows as a table with its own header, blank-line separated."""
     if fmt == "json":
         return (json.dumps(report, indent=2, default=_format_value) + "\n").encode()
     if fmt == "csv":
-        rows = report if isinstance(report, list) else report.get("rows", [report])
+        tables = [report] if isinstance(report, list) else [
+            v for v in report.values() if isinstance(v, list)] or [[report]]
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        for rows in filter(None, tables):
+            buf.write("\r\n" if buf.tell() else "")
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _format_value(v) for k, v in row.items()})
+            writer.writerows({k: _format_value(v) for k, v in row.items()} for row in rows)
         return buf.getvalue().encode()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -117,6 +121,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, key, value)
     if args.format not in FORMATS:
         raise ValueError(f"unknown format {args.format!r}")
+    if args.format == "csv" and args.command in ("sample", "predict", "selftest"):
+        raise ValueError(f"{args.command} reports nest lists in a record; use --format json")
     if args.g < 2:
         raise ValueError("genus must be >= 2")
     if args.count < 1:

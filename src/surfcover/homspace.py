@@ -81,25 +81,13 @@ class Seed:
             raise ValueError("stream index must be >= 0")
 
 
-class RandomStream(random.Random):
-    """Deterministic stream keyed by (seed, indices) through SHA-256."""
-
-    # Python 3.10's Random.__new__ seeds itself and refuses more than one
-    # positional argument; the override keeps (value, *indices) working there.
-    def __new__(cls, value: int, *indices: int):
-        return super().__new__(cls)
-
-    def __init__(self, value: int, *indices: int):
-        key = "surfcover:%d:%s" % (value, ":".join(str(i) for i in indices))
-        digest = hashlib.sha256(key.encode()).digest()
-        super().__init__(int.from_bytes(digest, "big"))
-
-
-def stream_for(seed, *indices: int) -> RandomStream:
-    """Stream for (seed, indices); an int seed means Seed(seed) and is range-checked."""
+def stream_for(seed, *indices: int) -> random.Random:
+    """Stream for (seed, indices), seeded by the SHA-256 of its key; an int
+    seed means Seed(seed) and is range-checked."""
     if not isinstance(seed, Seed):
         seed = Seed(int(seed))
-    return RandomStream(seed.value, seed.stream, *indices)
+    key = "surfcover:%d:%s" % (seed.value, ":".join(map(str, (seed.stream, *indices))))
+    return random.Random(int.from_bytes(hashlib.sha256(key.encode()).digest(), "big"))
 
 
 @functools.cache
@@ -257,20 +245,27 @@ def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VI
     return count
 
 
+def exact_means(
+    n: int, genus: int, evaluators: dict, max_visits: int = DEFAULT_MAX_VISITS
+) -> dict[str, Fraction]:
+    """Exact rational mean of each named observable, from one enumeration."""
+    totals = dict.fromkeys(evaluators, 0)
+
+    def add(h: HomPoint) -> None:
+        for name, fn in evaluators.items():
+            totals[name] += fn(h)
+
+    points = enumerate_homs(n, genus, add, max_visits)  # fills totals; read them after
+    return {name: Fraction(total, points) for name, total in totals.items()}
+
+
 def exact_expectation(
     n: int, genus: int, spec: ObservableSpec, max_visits: int = DEFAULT_MAX_VISITS
 ) -> Fraction:
     """Exact rational mean of the spec's joint observable over every point."""
     if spec.genus != genus:
         raise ValueError("spec genus differs from requested genus")
-    total = 0
-
-    def add(h: HomPoint) -> None:
-        nonlocal total
-        total += joint_moment(h, spec)
-
-    points = enumerate_homs(n, genus, add, max_visits)  # fills total; read it after
-    return Fraction(total, points)
+    return exact_means(n, genus, {"joint": lambda h: joint_moment(h, spec)}, max_visits)["joint"]
 
 
 def generator_fix_expectation(n: int, genus: int) -> Fraction:

@@ -11,23 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .homspace import (
     DEFAULT_MAX_VISITS,
-    exact_expectation,
+    exact_means,
     get_sampler,
     hom_count,
     run_sampled_stats,
 )
 from .limits import limit_cycle_moment, limit_product_moment
-from .observables import (
-    ObservableGroup,
-    ObservableSpec,
-    cycle_count,
-    joint_moment,
-    spec_to_text,
-)
-from .words import Word
+from .observables import ObservableSpec, cycle_count, joint_moment, spec_to_text
 
 ENUMERATE = "enumerate"
 SAMPLE = "sample"
@@ -82,46 +76,34 @@ def _group_observables(spec: ObservableSpec):
     return evaluators
 
 
-def _exact_row(n: int, spec: ObservableSpec, prediction: Fraction, budget: int) -> ConvergenceRow:
-    joint = exact_expectation(n, spec.genus, spec, max_visits=budget)
-    product = Fraction(1)
-    for sub in spec.single_group_specs():
-        product *= exact_expectation(n, spec.genus, sub, max_visits=budget)
-    err = abs(joint - prediction)
-    gap = abs(joint - product)
-    return ConvergenceRow(
-        n=n,
-        method=ENUMERATE,
-        joint=joint,
-        joint_stderr=None,
-        product_of_groups=product,
-        prediction=prediction,
-        abs_error=float(err),
-        n_times_error=float(n * err),
-        gap=float(gap),
-        gap_stderr=None,
-    )
-
-
-def _sampled_row(n: int, plan: ExperimentPlan, prediction: Fraction) -> ConvergenceRow:
+def _row(n: int, plan: ExperimentPlan, prediction: Fraction) -> ConvergenceRow:
+    """The joint mean and the product of the group means at n, exact from one
+    enumeration within the visit budget and sampled from one stream beyond it."""
     spec = plan.spec
-    sampler = get_sampler(n, spec.genus)
-    stats = run_sampled_stats(sampler, _group_observables(spec), plan.samples, plan.seed)
-    joint = stats.mean("joint")
-    stderr = stats.stderr("joint")
+    evaluators = _group_observables(spec)
     names = [f"group{i}" for i in range(len(spec.groups))]
-    gap, product, gap_stderr = stats.gap("joint", names)
-    err = abs(joint - float(prediction))
+    method = plan.method_for(n)
+    if method == ENUMERATE:
+        means = exact_means(n, spec.genus, evaluators, plan.budget_visits)
+        joint, stderr, gap_stderr = means["joint"], None, None
+        product = prod((means[name] for name in names), start=Fraction(1))
+        gap = joint - product
+    else:
+        stats = run_sampled_stats(get_sampler(n, spec.genus), evaluators, plan.samples, plan.seed)
+        joint, stderr = stats.mean("joint"), stats.stderr("joint")
+        gap, product, gap_stderr = stats.gap("joint", names)
+    # float - Fraction is float(a) - float(b), so both kinds of row share one formula
+    err = abs(joint - prediction)
     return ConvergenceRow(
         n=n,
-        method=SAMPLE,
+        method=method,
         joint=joint,
         joint_stderr=stderr,
         product_of_groups=product,
         prediction=prediction,
-        abs_error=err,
-        n_times_error=n * err,
-        gap=abs(gap),
+        abs_error=float(err),
+        n_times_error=float(n * err),
+        gap=float(abs(gap)),
         gap_stderr=gap_stderr,
     )
 
@@ -129,18 +111,12 @@ def _sampled_row(n: int, plan: ExperimentPlan, prediction: Fraction) -> Converge
 def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     """Joint moment, per-group product and limit prediction for each n."""
     prediction = limit_product_moment(plan.spec).value
-    rows = []
-    for n in plan.n_values:
-        if plan.method_for(n) == ENUMERATE:
-            rows.append(_exact_row(n, plan.spec, prediction, plan.budget_visits))
-        else:
-            rows.append(_sampled_row(n, plan, prediction))
     return ConvergenceReport(
         spec_text=spec_to_text(plan.spec),
         seed=plan.seed,
         samples=plan.samples,
         prediction=prediction,
-        rows=tuple(rows),
+        rows=tuple(_row(n, plan, prediction) for n in plan.n_values),
     )
 
 
@@ -149,21 +125,6 @@ def run_independence(plan: ExperimentPlan) -> ConvergenceReport:
     if len(plan.spec.groups) < 2:
         raise ValueError("independence runs need at least two groups")
     return run_convergence(plan)
-
-
-def negative_control_spec(base: Word, exponents) -> ObservableSpec:
-    """Exponents of one base word split into separate fake groups.
-
-    The honest prediction treats them as a single group; the fake per-group
-    product differs, and the gap between the two must persist as n grows.
-    """
-    groups = tuple(ObservableGroup(base, (a,), 1) for a in exponents)
-    return ObservableSpec(groups, base.genus)
-
-
-def true_control_prediction(base: Word, exponents) -> Fraction:
-    merged = ObservableSpec((ObservableGroup(base, tuple(exponents), 1),), base.genus)
-    return limit_product_moment(merged).value
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ def test_stdout_write(capsys):
     assert capsys.readouterr().out == "16\n"
 
 
-# sha256 of the stdout of fixed-seed runs; any change to a seeded stream, a
+# sha256 of what `main` writes to stdout in fixed-seed runs; any change to a seeded stream, a
 # visit order, a float formula or the output format changes one of these.
 GOLDEN_CLI = [
     (
@@ -270,10 +270,9 @@ GOLDEN_CLI = [
 @pytest.mark.parametrize(
     "argv,digest", GOLDEN_CLI, ids=[f"{argv[0]}{i}" for i, (argv, _) in enumerate(GOLDEN_CLI)]
 )
-def test_golden_cli_output(argv, digest):
-    out, code = run_cli(argv)
-    assert code == 0
-    assert hashlib.sha256(out).hexdigest() == digest
+def test_golden_cli_output(argv, digest, capsysbinary):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
 
 def _flag(key):
@@ -360,3 +359,27 @@ def test_selftest_lines_go_to_stderr_and_report_alone_to_stdout(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("[PASS] criterion 5")
     assert json.loads(report.read_text())["failed"] == []
+
+
+def test_csv_writes_every_table_and_refuses_nested_reports(monkeypatch, capsysbinary):
+    out, code = run_cli(["verify-cycles", "-n", "4", "--words", "a1,a2", "--samples", "200",
+                         "--max-d", "2", "--format", "csv"])
+    rows, covariances = out.decode().split("\r\n\r\n")
+    assert rows.splitlines()[0] == "word,d,mean,stderr,prediction,prediction_decimal"
+    assert len(rows.splitlines()) == 5
+    lines = covariances.splitlines()
+    assert lines[0] == "words,lengths,covariance,covariance_stderr"
+    assert len(lines) == 5 and lines[1].startswith("0 1,1 1,")
+    assert "[" not in out.decode() and "(" not in out.decode()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr("surfcover.cli.sample_hom", no_work)
+    monkeypatch.setattr("surfcover.acceptance.run_all", no_work)
+    for argv in (["sample", "-n", "3"], ["selftest", "--only", "5"],
+                 ["predict", "--spec", 'g="a1" exps=[1]']):
+        assert main([*argv, "--format", "csv"]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(f"error: {argv[0]} reports nest lists".encode())

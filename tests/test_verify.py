@@ -2,17 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from surfcover import homspace
+from surfcover.limits import limit_product_moment
 from surfcover.observables import ObservableGroup, ObservableSpec
 from surfcover.verify import (
     ENUMERATE,
     SAMPLE,
     ExperimentPlan,
     fit_inverse_n,
-    negative_control_spec,
     run_convergence,
     run_cycle_convergence,
     run_independence,
-    true_control_prediction,
 )
 from surfcover.words import word_from_text
 
@@ -100,26 +100,42 @@ def test_run_independence_exact_gap():
         run_independence(ExperimentPlan(F_A1, (2, 3)))
 
 
-def test_negative_control_spec():
-    control = negative_control_spec(w("a1"), (1, 2))
-    assert len(control.groups) == 2
-    fake_product = 1
-    from surfcover.limits import limit_product_moment
+# exponents 1 and 2 of one word split into two fake groups: their dependence
+# never fades, so the fake per-group product stays away from the joint moment
+CONTROL = spec_of(ObservableGroup(w("a1"), (1,)), ObservableGroup(w("a1"), (2,)))
 
-    for sub in control.single_group_specs():
+
+def test_negative_control_spec():
+    assert len(CONTROL.groups) == 2
+    fake_product = 1
+    for sub in CONTROL.single_group_specs():
         fake_product *= limit_product_moment(sub).value
-    truth = true_control_prediction(w("a1"), (1, 2))
+    truth = limit_product_moment(spec_of(ObservableGroup(w("a1"), (1, 2)))).value
     assert fake_product == 2  # d(1) * d(2)
     assert truth == 3  # the same-base second moment keeps the cross term
     assert truth != fake_product
 
 
 def test_negative_control_gap_exact_small_n():
-    control = negative_control_spec(w("a1"), (1, 2))
-    plan = ExperimentPlan(control, (3, 4))
+    plan = ExperimentPlan(CONTROL, (3, 4))
     report = run_convergence(plan)
     for row in report.rows:
         assert row.gap > 0.2  # dependence never fades
+
+
+def test_exact_row_walks_the_space_once(monkeypatch):
+    walks = []
+    enumerate_homs = homspace.enumerate_homs
+
+    def counted(n, genus, visitor, max_visits):
+        walks.append(n)
+        return enumerate_homs(n, genus, visitor, max_visits)
+
+    monkeypatch.setattr(homspace, "enumerate_homs", counted)
+    spec = spec_of(ObservableGroup(w("a1"), (1, 2)), ObservableGroup(w("a2"), (1,)))
+    report = run_convergence(ExperimentPlan(spec, (2, 3)))
+    assert [row.method for row in report.rows] == [ENUMERATE, ENUMERATE]
+    assert walks == [2, 3]  # joint and both groups from one enumeration per n
 
 
 def test_run_cycle_convergence_sampled():
