@@ -46,8 +46,11 @@ def _format_value(v):
         if v.denominator == 1:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, tuple):  # a CSV cell such as a covariance's word pair; JSON lists these
+    # JSON writes tuples, lists and dicts itself, so only CSV cells reach these
+    if isinstance(v, tuple):  # such as a covariance's word pair
         return " ".join(map(str, v))
+    if isinstance(v, (list, dict)):
+        raise ValueError("a CSV cell cannot hold a list or dict")
     return v
 
 

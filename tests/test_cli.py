@@ -185,6 +185,8 @@ def test_emit_report_formats():
     assert emit_report([], "csv") == b""
     with pytest.raises(ValueError):
         emit_report(report, "xml")
+    with pytest.raises(ValueError):
+        emit_report({"points": [{"index": 0, "cycles": ["(0 1)"]}]}, "csv")
 
 
 def test_error_exits():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -136,6 +137,10 @@ def test_exact_row_walks_the_space_once(monkeypatch):
     report = run_convergence(ExperimentPlan(spec, (2, 3)))
     assert [row.method for row in report.rows] == [ENUMERATE, ENUMERATE]
     assert walks == [2, 3]  # joint and both groups from one enumeration per n
+    for row in report.rows:
+        exact = partial(homspace.exact_expectation, row.n, 2)
+        first, second = map(exact, spec.single_group_specs())
+        assert (row.joint, row.product_of_groups) == (exact(spec), first * second)
 
 
 def test_run_cycle_convergence_sampled():
