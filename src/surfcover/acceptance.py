@@ -36,7 +36,6 @@ from .observables import (
     d_count,
     divisors,
 )
-from .observables import _power_images as power_images
 from .perms import (
     commutator,
     compose,
@@ -114,24 +113,23 @@ class AcceptanceContext:
         if stats is not None:
             return stats
         a1, a2 = self.a1, self.a2
+        gamma, delta = self.spec15.groups
+        on_a1 = {
+            "f_a1": ObservableGroup(a1, (1,)),
+            "g_gamma": gamma,
+            "ctrl_joint": ObservableGroup(a1, (1, 2)),
+            "ctrl_2": ObservableGroup(a1, (2,)),
+        }
 
         def evaluate(h):
-            # One evaluator feeds every name, so power images are computed once.
-            p1 = power_images(h, a1, (1, 2, 3))
-            p2 = power_images(h, a2, (1, 2, 4))
-            f1 = {a: fix_count(p) for a, p in p1.items()}
-            f2 = {a: fix_count(p) for a, p in p2.items()}
-            values = {
-                "f_a1": f1[1],
-                "joint15": f1[2] * f1[3] * f2[4],
-                "g_gamma": f1[2] * f1[3],
-                "g_delta": f2[4],
-                "ctrl_joint": f1[1] * f1[2],
-                "ctrl_2": f1[2],
-            }
-            for d in (1, 2, 3):
-                values[f"c1_{d}"] = d_cycle_count(p1[1], d)
-                values[f"c2_{d}"] = d_cycle_count(p2[1], d)
+            # One cycle type per word feeds every name.
+            k1, k2 = cycle_type(evaluate_word(h, a1)), cycle_type(evaluate_word(h, a2))
+            values = {name: group.value(k1) for name, group in on_a1.items()}
+            values["g_delta"] = delta.value(k2)
+            values["joint15"] = values["g_gamma"] * values["g_delta"]
+            for d in CYCLE_D:
+                values[f"c1_{d}"] = k1.count(d)
+                values[f"c2_{d}"] = k2.count(d)
             return values
 
         names = (
@@ -162,7 +160,7 @@ class AcceptanceContext:
         """Exact finite-n E_n[C_d] of any generator by d, and Cov_n[C_d1(a1),
         C_d2(a2)] by (d1, d2), from one pass of per-handle character sums."""
         if n not in self._exact_cycles:
-            count = {d: (lambda kappa, d=d: Counter(kappa)[d]) for d in CYCLE_D}
+            count = {d: (lambda kappa, d=d: kappa.count(d)) for d in CYCLE_D}
             pairs = list(itertools.product(CYCLE_D, CYCLE_D))
             terms = [(count[d],) for d in CYCLE_D] + [(count[x], count[y]) for x, y in pairs]
             values = handle_product_means(n, GENUS, terms)
@@ -473,9 +471,10 @@ def criterion_structural_identities(ctx: AcceptanceContext) -> tuple[bool, str]:
             conj_img = evaluate_word(h, conjugated_word(w, conjugator))
             if fix_count(img) != fix_count(conj_img):
                 failures.append(("conjugate", w))
-            powers = power_images(h, w, tuple(range(1, 7)))
-            fixes = {a: fix_count(p) for a, p in powers.items()}
+            fixes, powered = {}, identity(h.n)
             for a in range(1, 7):
+                powered = compose(powered, img)  # img^a by direct composition
+                fixes[a] = fix_count(powered)
                 expected = sum(
                     d * d_cycle_count(img, d) for d in divisors(a) if d <= h.n
                 )

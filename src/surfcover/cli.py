@@ -64,6 +64,8 @@ def emit_report(report, fmt: str = "json") -> bytes:
             v for v in report.values() if isinstance(v, list)] or [[report]]
         buf = io.StringIO()
         for rows in filter(None, tables):
+            if not all(isinstance(row, dict) for row in rows):
+                raise ValueError("a CSV table needs a list of records")
             buf.write("\r\n" if buf.tell() else "")
             writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
             writer.writeheader()

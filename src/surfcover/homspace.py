@@ -33,7 +33,6 @@ import itertools
 import random
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod, sqrt
@@ -273,15 +272,6 @@ def generator_fix_expectation(n: int, genus: int) -> Fraction:
     return handle_product_means(n, genus, [(lambda kappa: kappa.count(1),)])[0]
 
 
-def _class_value(group, kappa) -> int:
-    """The group's observable on any permutation of cycle type kappa."""
-    parts = Counter(kappa)
-    value = 1
-    for a in group.exponents:
-        value *= sum(d * parts[d] for d in parts if a % d == 0)
-    return value**group.power
-
-
 def handle_product_means(n: int, genus: int, terms) -> list[Fraction]:
     """Exact mean of each term, a tuple of class functions (callables on a
     cycle type) of generators x_1..x_m on distinct handles. With classes K_i,
@@ -330,8 +320,7 @@ def generator_spec_expectation(n: int, genus: int, spec: ObservableSpec) -> Frac
         handles.append(group.word.letters[0][0] // 2)
     if len(set(handles)) != len(handles):
         raise ValueError("two groups watch generators of one handle")
-    term = tuple(functools.partial(_class_value, group) for group in spec.groups)
-    return handle_product_means(n, genus, [term])[0]
+    return handle_product_means(n, genus, [tuple(g.value for g in spec.groups)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +455,6 @@ def _pair_with_commutator_type(plan: SamplerPlan, fixed_ok, accept, rng: random.
     fact = plan.n_factorial
     class_cum, reps, rep_inverses = plan.class_cum, plan.class_reps, plan.rep_inverses
     randrange = rng.randrange
-    indices = range(n)
     while True:
         kidx = bisect_right(class_cum, randrange(fact))
         a = reps[kidx]
@@ -475,24 +463,11 @@ def _pair_with_commutator_type(plan: SamplerPlan, fixed_ok, accept, rng: random.
         if sum([a[y] == b[x] for x, y in zip(a, b)]) not in fixed_ok:
             continue
         inv_b = [0] * n
-        for i in indices:
+        for i in range(n):
             inv_b[b[i]] = i
         # commutator a^-1 b^-1 a b, left to right
         c = [b[a[inv_b[x]]] for x in rep_inverses[kidx]]
-        lengths = []
-        seen = [False] * n
-        for start in indices:
-            if not seen[start]:
-                seen[start] = True
-                size = 1
-                v = c[start]
-                while v != start:
-                    seen[v] = True
-                    size += 1
-                    v = c[v]
-                lengths.append(size)
-        lengths.sort(reverse=True)
-        if accept(tuple(lengths)):
+        if accept(cycle_type(c)):
             return a, tuple(b), tuple(c)
 
 

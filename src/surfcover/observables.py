@@ -3,9 +3,11 @@
 A moment specification is a list of groups, each carrying a base word, a list
 of exponents and an outer power. Evaluated at a homomorphism point it is the
 product over groups of (product over exponents of the fixed-point count of
-the powered word), raised to the group's power. Identity words are rejected
-up front; the ambient group is torsion free, so powers of a non-identity word
-never need re-checking.
+the powered word), raised to the group's power. Since F(p^a) is the sum of
+d C_d(p) over d | a, that value is computed from the cycle type of each word's
+image (`ObservableGroup.value`). Identity words are rejected up front; the
+ambient group is torsion free, so powers of a non-identity word never need
+re-checking.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import (
-    HomPoint,
-    compose,
-    d_cycle_count,
-    evaluate_word,
-    fix_count,
-    identity,
-)
-from .words import IdentityWordError, Word, is_identity, word_from_text, word_to_text
+from .perms import HomPoint, cycle_type, d_cycle_count, evaluate_word, fix_count
+from .words import IdentityWordError, Word, is_identity, power_word, word_from_text, word_to_text
 
 
 def mobius(n: int) -> int:
@@ -79,6 +74,14 @@ class ObservableGroup:
         if is_identity(self.word):
             raise IdentityWordError("observable words must not be the identity")
 
+    def value(self, kappa) -> int:
+        """The group's observable on any image of cycle type kappa: p^a fixes
+        exactly the points on the cycles of p whose length divides a."""
+        value = 1
+        for a in self.exponents:
+            value *= sum(d for d in kappa if a % d == 0)
+        return value**self.power
+
 
 @dataclass(frozen=True)
 class ObservableSpec:
@@ -108,28 +111,13 @@ def cycle_count(h: HomPoint, w: Word, d: int) -> int:
     return d_cycle_count(evaluate_word(h, w), d)
 
 
-def _power_images(h: HomPoint, w: Word, wanted) -> dict[int, tuple[int, ...]]:
-    """Images of w, w^2, ... for each exponent in `wanted`, by repeated composition."""
-    base = evaluate_word(h, w)
-    images: dict[int, tuple[int, ...]] = {}
-    current = identity(h.n)
-    exponent = 0
-    for a in sorted(set(wanted)):
-        while exponent < a:
-            current = compose(current, base)
-            exponent += 1
-        images[a] = current
-    return images
-
-
 def power_identity_holds(h: HomPoint, w: Word, a: int) -> bool:
-    """Fixed points of w^a match the weighted cycle counts of w, always."""
-    if a < 1:
-        raise ValueError("exponent must be >= 1")
+    """Fixed points of w^a, evaluated as the word w^a, match the weighted
+    cycle counts of w, always."""
     if is_identity(w):
         raise IdentityWordError("identity word rejected")
     img = evaluate_word(h, w)
-    powered = _power_images(h, w, [a])[a]
+    powered = evaluate_word(h, power_word(w, a))
     return fix_count(powered) == sum(
         d * d_cycle_count(img, d) for d in divisors(a) if d <= h.n
     )
@@ -156,24 +144,16 @@ def cycles_from_fixed_points(values, r: int) -> int:
 
 
 def joint_moment(h: HomPoint, spec: ObservableSpec) -> int:
-    """Product over groups of powered fixed-point products, at one point."""
+    """Product over groups of each group's value on its word's cycle type."""
     if h.genus != spec.genus:
         raise ValueError("genus mismatch")
-    cache: dict[Word, dict[int, tuple[int, ...]]] = {}
+    types: dict[Word, tuple[int, ...]] = {}
     result = 1
     for group in spec.groups:
-        images = cache.get(group.word)
-        if images is None:
-            images = _power_images(h, group.word, group.exponents)
-            cache[group.word] = images
-        else:
-            missing = [a for a in group.exponents if a not in images]
-            if missing:
-                images.update(_power_images(h, group.word, missing))
-        factor = 1
-        for a in group.exponents:
-            factor *= fix_count(images[a])
-        result *= factor**group.power
+        kappa = types.get(group.word)
+        if kappa is None:
+            kappa = types[group.word] = cycle_type(evaluate_word(h, group.word))
+        result *= group.value(kappa)
     return result
 
 
@@ -230,17 +210,21 @@ def spec_to_json(spec: ObservableSpec) -> dict:
 
 
 def spec_from_json(obj, genus: int | None = None) -> ObservableSpec:
+    """Spec from {"genus": g, "groups": [{"word": text, "exps": [ints], "pow": int}]};
+    genus, exps and pow are optional. Any other shape raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict) or not isinstance(obj.get("groups"), list):
+        raise ValueError("spec JSON must be an object with a list of groups")
     g = obj.get("genus", genus)
-    if g is None:
-        raise ValueError("spec JSON needs a genus")
-    groups = tuple(
-        ObservableGroup(
-            word_from_text(entry["word"], g),
-            tuple(entry.get("exps", [1])),
-            entry.get("pow", 1),
-        )
-        for entry in obj["groups"]
-    )
-    return ObservableSpec(groups, g)
+    if type(g) is not int:  # bools refused too
+        raise ValueError("spec JSON needs an integer genus")
+    groups = []
+    for entry in obj["groups"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("word"), str):
+            raise ValueError("each spec group needs a string word")
+        exps, power = entry.get("exps", [1]), entry.get("pow", 1)
+        if type(exps) is not list or any(type(v) is not int for v in [*exps, power]):
+            raise ValueError("spec group exps must be a list of integers, pow an integer")
+        groups.append(ObservableGroup(word_from_text(entry["word"], g), tuple(exps), power))
+    return ObservableSpec(tuple(groups), g)

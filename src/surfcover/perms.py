@@ -68,8 +68,22 @@ def cycles(p: Permutation) -> list[list[int]]:
     return out
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+def cycle_type(p) -> tuple[int, ...]:
+    """Cycle lengths of a tuple or list, fixed points included, longest first."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if not seen[start]:
+            seen[start] = True
+            size = 1
+            v = p[start]
+            while v != start:
+                seen[v] = True
+                size += 1
+                v = p[v]
+            lengths.append(size)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def fix_count(p: Permutation) -> int:
@@ -79,7 +93,7 @@ def fix_count(p: Permutation) -> int:
 def d_cycle_count(p: Permutation, d: int) -> int:
     if not 1 <= d <= len(p):
         raise ValueError(f"cycle length {d} out of range for n={len(p)}")
-    return sum(1 for c in cycles(p) if len(c) == d)
+    return cycle_type(p).count(d)
 
 
 @dataclass(frozen=True)

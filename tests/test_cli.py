@@ -187,11 +187,28 @@ def test_emit_report_formats():
         emit_report(report, "xml")
     with pytest.raises(ValueError):
         emit_report({"points": [{"index": 0, "cycles": ["(0 1)"]}]}, "csv")
+    with pytest.raises(ValueError):
+        emit_report({"spec": "x", "warnings": ["w1"]}, "csv")
 
 
 def test_error_exits():
     assert main(["hom-count", "-n", "3", "-g", "1"]) == 2
     assert main(["predict", "--spec", "broken"]) == 2
+
+
+def test_malformed_json_specs_exit_with_error(capsys):
+    for spec in (
+        '{"genus":2,"groups":[{"word":"a1","exps":"23"}]}',
+        '{"genus":2,"groups":[{"word":"a1","pow":"2"}]}',
+        '{"genus":2}',
+        '{"genus":2,"groups":[{"word":5}]}',
+        '{"genus":2,"groups":[{"word":"a1","exps":[true]}]}',
+        '{"genus":2,"groups":[{"word":"a1","pow":true}]}',
+        '{"genus":2,"groups":[7]}',
+    ):
+        assert main(["predict", "--spec", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
 
 
 def test_refused_table_exits_with_error(capsys):

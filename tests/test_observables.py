@@ -123,23 +123,40 @@ def _perm_of_type(mu, n):
 
 
 def test_joint_moment_against_direct_product():
-    spec = ObservableSpec(
+    def fix(h, text, a):
+        return fixed_points(h, power_word(w(text), a))
+
+    joint15 = ObservableSpec(
         (
             ObservableGroup(w("a1"), (2, 3), 1),
             ObservableGroup(w("a2"), (4,), 1),
         ),
         2,
     )
+    # exponents above n = 3, an outer power, and one word watched by two groups
+    shared = ObservableSpec(
+        (
+            ObservableGroup(w("a1 b1"), (1, 4), 2),
+            ObservableGroup(w("a2"), (6,), 1),
+            ObservableGroup(w("a1 b1"), (2, 5), 3),
+        ),
+        2,
+    )
+    cases = [
+        (joint15, lambda h: fix(h, "a1", 2) * fix(h, "a1", 3) * fix(h, "a2", 4)),
+        (
+            shared,
+            lambda h: (fix(h, "a1 b1", 1) * fix(h, "a1 b1", 4)) ** 2
+            * fix(h, "a2", 6)
+            * (fix(h, "a1 b1", 2) * fix(h, "a1 b1", 5)) ** 3,
+        ),
+    ]
     mismatches = []
 
     def check(h):
-        direct = (
-            fixed_points(h, power_word(w("a1"), 2))
-            * fixed_points(h, power_word(w("a1"), 3))
-            * fixed_points(h, power_word(w("a2"), 4))
-        )
-        if joint_moment(h, spec) != direct:
-            mismatches.append(h)
+        for spec, direct in cases:
+            if joint_moment(h, spec) != direct(h):
+                mismatches.append((h, spec))
 
     enumerate_homs(3, 2, check)
     assert not mismatches

@@ -9,6 +9,7 @@ from surfcover.perms import (
     compose,
     conjugate,
     cycle_type,
+    cycles,
     cycles_str,
     d_cycle_count,
     evaluate_word,
@@ -82,6 +83,15 @@ def test_cycle_statistics():
     for _ in range(50):
         q = rand_perm(rng, 9)
         assert sum(d * d_cycle_count(q, d) for d in range(1, 10)) == 9
+
+
+def test_cycle_type_matches_cycles_on_every_permutation():
+    for n in range(1, 7):
+        for p in itertools.permutations(range(n)):
+            expected = tuple(sorted(map(len, cycles(p)), reverse=True))
+            assert cycle_type(p) == cycle_type(list(p)) == expected
+            for d in range(1, n + 1):
+                assert d_cycle_count(p, d) == d_cycle_count(list(p), d) == expected.count(d)
 
 
 def test_commutator_examples():
