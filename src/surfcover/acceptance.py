@@ -14,17 +14,18 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial, isfinite, sqrt
 from operator import mul
 
 from .characters import class_size, commutator_count, get_table, hom_count
 from .homspace import (
-    SampledStats,
     Seed,
     enumerate_homs,
     generator_spec_expectation,
     get_sampler,
     handle_product_means,
+    run_sampled_stats,
     sample_hom,
     stream_for,
 )
@@ -32,9 +33,12 @@ from .limits import bell_number, limit_cycle_moment, limit_product_moment
 from .observables import (
     ObservableGroup,
     ObservableSpec,
+    cycle_count,
     cycles_from_fixed_points,
     d_count,
     divisors,
+    fixed_points,
+    joint_moment,
 )
 from .perms import (
     commutator,
@@ -109,41 +113,24 @@ class AcceptanceContext:
         )
 
     def sampled_stats(self, n: int):
-        stats = self._stats.get(n)
-        if stats is not None:
-            return stats
-        a1, a2 = self.a1, self.a2
-        gamma, delta = self.spec15.groups
-        on_a1 = {
-            "f_a1": ObservableGroup(a1, (1,)),
-            "g_gamma": gamma,
-            "ctrl_joint": ObservableGroup(a1, (1, 2)),
-            "ctrl_2": ObservableGroup(a1, (2,)),
-        }
-
-        def evaluate(h):
-            # One cycle type per word feeds every name.
-            k1, k2 = cycle_type(evaluate_word(h, a1)), cycle_type(evaluate_word(h, a2))
-            values = {name: group.value(k1) for name, group in on_a1.items()}
-            values["g_delta"] = delta.value(k2)
-            values["joint15"] = values["g_gamma"] * values["g_delta"]
-            for d in CYCLE_D:
-                values[f"c1_{d}"] = k1.count(d)
-                values[f"c2_{d}"] = k2.count(d)
-            return values
-
-        names = (
-            ["f_a1", "joint15", "g_gamma", "g_delta", "ctrl_joint", "ctrl_2"]
-            + [f"c1_{d}" for d in (1, 2, 3)]
-            + [f"c2_{d}" for d in (1, 2, 3)]
-        )
-        stats = SampledStats(names, self.samples, 16)
-        for d1 in (1, 2, 3):
-            for d2 in (1, 2, 3):
-                stats.track_pair(f"c1_{d1}", f"c2_{d2}")
-        stats.collect(get_sampler(n, GENUS), evaluate, Seed(self.seed, n))
-        self._stats[n] = stats
-        return stats
+        if n not in self._stats:
+            gamma, delta = self.spec15.groups
+            moment = lambda *groups: partial(joint_moment, spec=ObservableSpec(groups, GENUS))
+            evaluators = {
+                "f_a1": partial(fixed_points, w=self.a1),
+                "joint15": moment(gamma, delta),
+                "g_gamma": moment(gamma),
+                "g_delta": moment(delta),
+                "ctrl_joint": moment(ObservableGroup(self.a1, (1, 2))),
+                "ctrl_2": moment(ObservableGroup(self.a1, (2,))),
+            }
+            for i, w in ((1, self.a1), (2, self.a2)):
+                evaluators.update((f"c{i}_{d}", partial(cycle_count, w=w, d=d)) for d in CYCLE_D)
+            pairs = [(f"c1_{x}", f"c2_{y}") for x, y in itertools.product(CYCLE_D, CYCLE_D)]
+            self._stats[n] = run_sampled_stats(
+                get_sampler(n, GENUS), evaluators, self.samples, Seed(self.seed, n), pairs
+            )
+        return self._stats[n]
 
     def exact_generator_mean(self, n: int) -> Fraction:
         """Exact finite-n mean of F(a1), the fixed points C_1(a1)."""

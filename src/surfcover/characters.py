@@ -10,7 +10,7 @@ shape with beta set B means replacing some b in B by b - L when b - L is
 fresh, with sign (-1)^(number of beta values jumped over). A table's values
 are built all at once, on first use, as a dense class-major matrix; a table
 of more than MAX_TABLE_ENTRIES entries is refused with BudgetExceededError
-before anything is built.
+before anything is built, as is any table past S_MAX_TABLE_N.
 """
 
 from __future__ import annotations
@@ -125,6 +125,9 @@ class BudgetExceededError(RuntimeError):
 # and a genus-2 plan on it peaks near 780 MB; n = 29 (20,839,225 entries)
 # is refused.
 MAX_TABLE_ENTRIES = 16_000_000
+# Largest n with a table at all: listing the p(n) partitions with their sizes
+# took 15 s and 193 MB at n = 50, 94 s and 1.1 GB at n = 60 (one 2-core host).
+MAX_TABLE_N = 50
 
 
 @lru_cache(maxsize=None)
@@ -146,12 +149,14 @@ class CharacterTable:
     on first use) and is read-only afterwards. freeze() refuses a table of
     more than MAX_TABLE_ENTRIES entries with BudgetExceededError before
     building anything; the dimensions, hook products and class sizes need
-    no values and are always available.
+    no values and are available up to n = MAX_TABLE_N.
     """
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("n must be >= 0")
+        if n > MAX_TABLE_N:
+            raise BudgetExceededError(f"no character table past S_{MAX_TABLE_N}, got n={n}")
         self.n = n
         self.partitions: tuple[Partition, ...] = tuple(partitions(n))
         self.index = {lam: i for i, lam in enumerate(self.partitions)}

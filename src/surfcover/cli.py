@@ -141,10 +141,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _parse_spec(raw, genus: int):
-    """Accept either the text syntax or a JSON object with a groups list."""
+    """Accept the text syntax or JSON, which must be an object with a groups list."""
     if not raw:
         raise ValueError("this command needs --spec")
-    if raw.lstrip().startswith("{"):
+    if raw.lstrip().startswith(("{", "[")):
         return spec_from_json(raw, genus)
     return spec_from_text(raw, genus)
 

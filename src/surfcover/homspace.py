@@ -572,17 +572,6 @@ class SampledStats:
     def track_pair(self, name_x: str, name_y: str) -> None:
         self.shard_pair_sums.setdefault((name_x, name_y), [0] * self.shards)
 
-    def collect(self, plan: SamplerPlan, evaluate, seed) -> None:
-        """Add evaluate(h), a dict of named values, for `samples` uniform
-        points. Shard i draws its share from the fixed sub-stream
-        stream_for(seed, i), so the sums do not depend on how the shards are
-        executed."""
-        base, extra = divmod(self.samples, self.shards)
-        for shard in range(self.shards):
-            rng = stream_for(seed, shard)
-            for _ in range(base + (1 if shard < extra else 0)):
-                self.add(shard, evaluate(sample_hom(plan, rng)))
-
     def add(self, shard: int, values: dict) -> None:
         self.shard_counts[shard] += 1
         for name, v in values.items():
@@ -657,14 +646,20 @@ def run_sampled_stats(
 ) -> SampledStats:
     """Evaluate every named observable on one shared stream of uniform points.
 
-    Samples are split over `shards` fixed sub-streams so the output does not
-    depend on how the shards are executed.
+    Shard i draws its share from the fixed sub-stream stream_for(seed, i), so
+    the sums do not depend on how the shards are executed. Evaluators on one
+    word share its cycle type through the point's cache (HomPoint.cycle_type_of).
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     stats = SampledStats(evaluators.keys(), samples, min(shards, samples))
     for nx, ny in pairs:
         stats.track_pair(nx, ny)
-    stats.collect(plan, lambda h: {name: fn(h) for name, fn in evaluators.items()}, seed)
+    base, extra = divmod(samples, stats.shards)
+    for shard in range(stats.shards):
+        rng = stream_for(seed, shard)
+        for _ in range(base + (1 if shard < extra else 0)):
+            h = sample_hom(plan, rng)
+            stats.add(shard, {name: fn(h) for name, fn in evaluators.items()})
     return stats
 

@@ -32,6 +32,7 @@ def stirling2(m: int, j: int) -> int:
     return j * stirling2(m - 1, j) + stirling2(m - 1, j - 1)
 
 
+@lru_cache(maxsize=None)
 def poisson_moment(lam, m: int) -> Fraction:
     """Exact m-th raw moment of a Poisson variable with mean lam > 0."""
     lam = Fraction(lam)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import HomPoint, cycle_type, d_cycle_count, evaluate_word, fix_count
+from .perms import HomPoint, d_cycle_count, evaluate_word, fix_count
 from .words import IdentityWordError, Word, is_identity, power_word, word_from_text, word_to_text
 
 
@@ -101,14 +101,16 @@ def fixed_points(h: HomPoint, w: Word) -> int:
     """Fixed points of the image of w; rejects the identity word."""
     if is_identity(w):
         raise IdentityWordError("fixed-point statistics need a non-identity word")
-    return fix_count(evaluate_word(h, w))
+    return h.cycle_type_of(w).count(1)
 
 
 def cycle_count(h: HomPoint, w: Word, d: int) -> int:
     """Number of d-cycles in the image of w; rejects the identity word."""
     if is_identity(w):
         raise IdentityWordError("cycle statistics need a non-identity word")
-    return d_cycle_count(evaluate_word(h, w), d)
+    if not 1 <= d <= h.n:
+        raise ValueError(f"cycle length {d} out of range for n={h.n}")
+    return h.cycle_type_of(w).count(d)
 
 
 def power_identity_holds(h: HomPoint, w: Word, a: int) -> bool:
@@ -147,13 +149,9 @@ def joint_moment(h: HomPoint, spec: ObservableSpec) -> int:
     """Product over groups of each group's value on its word's cycle type."""
     if h.genus != spec.genus:
         raise ValueError("genus mismatch")
-    types: dict[Word, tuple[int, ...]] = {}
     result = 1
     for group in spec.groups:
-        kappa = types.get(group.word)
-        if kappa is None:
-            kappa = types[group.word] = cycle_type(evaluate_word(h, group.word))
-        result *= group.value(kappa)
+        result *= group.value(h.cycle_type_of(group.word))
     return result
 
 

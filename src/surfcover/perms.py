@@ -9,7 +9,7 @@ agree bit for bit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import eq
 
 from .words import Word
@@ -108,6 +108,7 @@ class HomPoint:
     images: tuple[Permutation, ...]
     genus: int
     n: int
+    _types: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.images) != 2 * self.genus:
@@ -120,6 +121,12 @@ class HomPoint:
             prod = compose(prod, commutator(self.images[2 * i], self.images[2 * i + 1]))
         if prod != identity(self.n):
             raise ValueError("images do not satisfy the surface relator")
+
+    def cycle_type_of(self, w: Word) -> tuple[int, ...]:
+        """cycle_type(evaluate_word(self, w)), computed once per point and word."""
+        if w not in self._types:
+            self._types[w] = cycle_type(evaluate_word(self, w))
+        return self._types[w]
 
 
 def evaluate_word(h: HomPoint, w: Word) -> Permutation:

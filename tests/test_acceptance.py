@@ -11,12 +11,21 @@ failure message is the criterion's details line, which gives the exact
 centre, the estimate and the z-score for each n.
 """
 
+import hashlib
+
 import pytest
 
 from surfcover import acceptance
 
 SAMPLES = 100_000
 SEED = 0
+# SHA-256 of the sampled criteria's details at SAMPLES and SEED: every sampled
+# mean, error and z-score is pinned byte for byte, whatever runs the sampling.
+DETAILS_SHA256 = {
+    6: "d8e39214b2ea1abde78eccb746701b384d7c6b52c78c92e1888b416f1f768bd7",
+    7: "ee90c7b9d9d8d93a1b0579c8d52b72040fd931b0434ad18b402a8262dd02505b",
+    8: "5c9dbe62cf3de6aad321de52e2fd6b4e3628bd34c6c403a1adf2919cf8432ae3",
+}
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +38,9 @@ def _criterion_test(number):
         result = acceptance.run_criterion(number, ctx)
         print(result.line())
         assert result.passed, result.details
+        if number in DETAILS_SHA256:
+            digest = hashlib.sha256(result.details.encode()).hexdigest()
+            assert digest == DETAILS_SHA256[number], result.details
 
     return test
 

@@ -205,16 +205,20 @@ def test_malformed_json_specs_exit_with_error(capsys):
         '{"genus":2,"groups":[{"word":"a1","exps":[true]}]}',
         '{"genus":2,"groups":[{"word":"a1","pow":true}]}',
         '{"genus":2,"groups":[7]}',
+        "[1]",
     ):
         assert main(["predict", "--spec", spec]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
+    assert "must be an object" in err  # "[1]" is read as JSON, not as the text syntax
 
 
 def test_refused_table_exits_with_error(capsys):
     assert main(["characters", "-n", "29"]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert main(["estimate", "-n", "29", "--spec", 'g="a1" exps=[1]']) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["hom-count", "-n", "51"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -18,6 +18,7 @@ from surfcover.perms import (
     inverse,
     parse_cycles,
 )
+from surfcover.homspace import enumerate_homs
 from surfcover.words import relator, word_from_text
 
 
@@ -154,6 +155,22 @@ def test_evaluate_word():
     assert evaluate_word(h, uv) == compose(evaluate_word(h, u), evaluate_word(h, v))
     with pytest.raises(ValueError):
         evaluate_word(h, word_from_text("a1", 3))
+
+
+def test_cycle_type_of_caches_the_word_cycle_type():
+    words = [word_from_text(t, 2) for t in ("a1", "a1 b1", "b2'")]
+    points = []
+    enumerate_homs(3, 2, points.append)
+    for h in points:
+        for w in words:
+            assert h.cycle_type_of(w) == cycle_type(evaluate_word(h, w))
+            assert h.cycle_type_of(w) is h.cycle_type_of(w)
+    # the cache takes no part in equality or hashing
+    filled = points[-1]
+    fresh = HomPoint(filled.images, filled.genus, filled.n)
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert len({filled, fresh}) == 1
+    assert repr(filled) == repr(fresh)
 
 
 def test_cycle_notation_round_trip():

@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from surfcover import homspace
+from surfcover import homspace, observables, perms
 from surfcover.limits import limit_product_moment
 from surfcover.observables import ObservableGroup, ObservableSpec
 from surfcover.verify import (
@@ -154,6 +154,20 @@ def test_run_cycle_convergence_sampled():
         run_cycle_convergence([w("a1")], 9, 5, 100)
     with pytest.raises(ValueError):
         run_cycle_convergence([], 2, 5, 100)
+
+
+def test_cycle_convergence_evaluates_each_word_once_per_point(monkeypatch):
+    calls = []
+
+    def counting(h, word, evaluate=perms.evaluate_word):
+        calls.append(word)
+        return evaluate(h, word)
+
+    for module in (perms, observables):
+        monkeypatch.setattr(module, "evaluate_word", counting)
+    words = [word_from_text(t, 3) for t in ("a1", "a2", "b3")]
+    run_cycle_convergence(words, 3, 6, samples=40)
+    assert len(calls) == 3 * 40
 
 
 def test_sampled_row_stderr_scaling():
