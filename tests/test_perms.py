@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from surfcover.homspace import enumerate_homs
 from surfcover.perms import (
     HomPoint,
     commutator,
@@ -18,7 +19,6 @@ from surfcover.perms import (
     inverse,
     parse_cycles,
 )
-from surfcover.homspace import enumerate_homs
 from surfcover.words import relator, word_from_text
 
 
