@@ -84,6 +84,22 @@ def test_enumerate_counts():
     assert enumerate_homs(4, 2, lambda h: None) == hom_count(4, 2)
 
 
+VISIT_ORDER_SHA256 = {
+    (3, 2): "7d1cf8c72f0e46ec41864f4c38a8e42677b77b0f38c26b729a9b307a40d90ad7",
+    (4, 2): "ff78990dc00ca377dad3575287c12a1db80a91cfc867058735709fa257fc8481",
+    (2, 3): "6a91082599f913101d2750d5dcd129417ab4a5303649ac7810a95c9ad8d7d21a",
+    (3, 3): "5312f4c345e2aba0e39a2a5ea984704b7ada9f407cdaf673f0c7bad8b03d9582",
+}
+
+
+@pytest.mark.parametrize("n, genus", sorted(VISIT_ORDER_SHA256))
+def test_enumeration_visit_order_is_pinned(n, genus):
+    # exact means do not depend on the order; this pins it for every caller
+    digest = hashlib.sha256()
+    enumerate_homs(n, genus, lambda h: digest.update(repr(h.images).encode()))
+    assert digest.hexdigest() == VISIT_ORDER_SHA256[n, genus]
+
+
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_homs(4, 2, lambda h: None, max_visits=1000)
