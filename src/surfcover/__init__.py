@@ -9,7 +9,6 @@ from .words import (
     IdentityWordError,
     Word,
     abelianize,
-    cyclic_reduce,
     dehn_reduce,
     distinct_in_p0_certificate,
     free_reduce,
@@ -61,7 +60,6 @@ from .observables import (
     power_identity_holds,
     spec_from_json,
     spec_from_text,
-    spec_to_json,
     spec_to_text,
 )
 from .homspace import (
@@ -69,7 +67,6 @@ from .homspace import (
     SampledStats,
     SamplerPlan,
     Seed,
-    build_buckets,
     enumerate_homs,
     exact_expectation,
     exact_means,

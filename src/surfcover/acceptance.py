@@ -37,7 +37,6 @@ from .observables import (
     cycles_from_fixed_points,
     d_count,
     divisors,
-    fixed_points,
     joint_moment,
 )
 from .perms import (
@@ -117,7 +116,6 @@ class AcceptanceContext:
             gamma, delta = self.spec15.groups
             moment = lambda *groups: partial(joint_moment, spec=ObservableSpec(groups, GENUS))
             evaluators = {
-                "f_a1": partial(fixed_points, w=self.a1),
                 "joint15": moment(gamma, delta),
                 "g_gamma": moment(gamma),
                 "g_delta": moment(delta),
@@ -140,7 +138,7 @@ class AcceptanceContext:
         """|E_n[F(a1)] - 1| by n, exact at EXACT_N and sampled at SAMPLED_N,
         and its O(1/n) fit."""
         errors = {n: float(abs(self.exact_generator_mean(n) - 1)) for n in EXACT_N}
-        errors.update((n, abs(self.sampled_stats(n).mean("f_a1") - 1.0)) for n in SAMPLED_N)
+        errors.update((n, abs(self.sampled_stats(n).mean("c1_1") - 1.0)) for n in SAMPLED_N)
         return errors, fit_inverse_n(errors.items())
 
     def exact_cycle_moments(self, n: int):
@@ -348,7 +346,7 @@ def criterion_convergence(ctx: AcceptanceContext) -> tuple[bool, str]:
     lines = [f"n={n} exact={ctx.exact_generator_mean(n)}" for n in EXACT_N]
     band_ok = True
     for n in SAMPLED_N:
-        inside, text = _band(ctx.sampled_stats(n), "f_a1", n, ctx.exact_generator_mean(n))
+        inside, text = _band(ctx.sampled_stats(n), "c1_1", n, ctx.exact_generator_mean(n))
         band_ok = band_ok and inside
         lines.append(f"{text} |mean-1|={errors[n]:.5f}")
     finite_ok = isfinite(fit.max_n_times_error)
@@ -384,9 +382,7 @@ def criterion_independence(ctx: AcceptanceContext) -> tuple[bool, str]:
     gap_ok = abs(gap16) < abs(gap8) or abs(gap16) <= 2 * gap16_se
 
     c_fit = ctx.fixed_point_fit()[1].coefficient
-    control_gap = abs(
-        stats16.mean("ctrl_joint") - stats16.mean("f_a1") * stats16.mean("ctrl_2")
-    )
+    control_gap = abs(stats16.gap("ctrl_joint", ("c1_1", "ctrl_2"))[0])
     control_ok = control_gap > 5 * c_fit / 16
     return close_ok and limit_ok and falling_ok and gap_ok and control_ok, (
         f"joint15 {close_text}; "

@@ -132,6 +132,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError("genus must be >= 2")
     if args.count < 1:
         raise ValueError("--count must be >= 1")
+    if args.samples < 2:
+        raise ValueError("--samples must be >= 2")
     if args.needs_n:
         if args.n is None:
             raise ValueError(f"{args.command} needs -n")

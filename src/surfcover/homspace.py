@@ -49,6 +49,7 @@ from .observables import ObservableSpec, joint_moment
 from .perms import (
     HomPoint,
     Permutation,
+    commutator,
     compose,
     conjugate,
     cycle_type,
@@ -58,7 +59,7 @@ from .perms import (
     inverse,
 )
 
-PAIR_MATERIALIZE_LIMIT = 7
+PAIR_MATERIALIZE_LIMIT = 6
 DEFAULT_MAX_VISITS = 10**9
 
 
@@ -144,85 +145,51 @@ def uniform_conjugator(p: Permutation, q: Permutation, rng: random.Random) -> Pe
 # Commutator buckets and enumeration
 
 
-class CommutatorBuckets:
-    """All pairs (a, b) of S_n grouped by their commutator, as packed rank
-    arrays. Every pair is stored, so n is at most PAIR_MATERIALIZE_LIMIT = 7;
-    `build_buckets` refuses larger n."""
-
-    def __init__(self, n: int, pair_ranks, perms):
-        self.n = n
-        self._pair_ranks = pair_ranks
-        self._perms = perms
-        self._key_list = sorted(pair_ranks)
-
-    def keys(self) -> list[Permutation]:
-        return list(self._key_list)
-
-    def pairs(self, sigma: Permutation):
-        packed = self._pair_ranks.get(tuple(sigma))
-        if packed is None:
-            return
-        size = factorial(self.n)
-        perms = self._perms
-        for code in packed:
-            yield perms[code // size], perms[code % size]
+class CommutatorBuckets(dict):
+    """Every pair (a, b) of S_n, keyed by its commutator in sorted key order;
+    each list holds its pairs in lexicographic order. Every pair is stored as
+    a tuple, so n is at most PAIR_MATERIALIZE_LIMIT = 6: at n = 7 the 2.5e7
+    pairs would take gigabytes, for a walk over at least 2.7e11 points that
+    no visit budget admits."""
 
     def total_pairs(self) -> int:
-        return sum(len(v) for v in self._pair_ranks.values())
+        return sum(map(len, self.values()))
 
 
-def build_buckets(n: int) -> CommutatorBuckets:
-    """Every pair of S_n, bucketed by commutator; n > PAIR_MATERIALIZE_LIMIT
-    raises ValueError (at n = 8 there are already 1.6e9 pairs)."""
+@functools.cache
+def get_buckets(n: int) -> CommutatorBuckets:
+    """Every pair of S_n, bucketed by commutator, built once per n;
+    n > PAIR_MATERIALIZE_LIMIT raises ValueError."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > PAIR_MATERIALIZE_LIMIT:
         raise ValueError(
             f"buckets support n <= {PAIR_MATERIALIZE_LIMIT}; use the sampler beyond that"
         )
-    perms = tuple(itertools.permutations(range(n)))
-    rank = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    inverses = [rank[inverse(p)] for p in perms]
-    buckets: dict[Permutation, array] = {}
-    for ia, a in enumerate(perms):
-        a_inv = perms[inverses[ia]]
-        for ib, b in enumerate(perms):
-            sigma = compose(compose(compose(a_inv, perms[inverses[ib]]), a), b)
-            packed = buckets.get(sigma)
-            if packed is None:
-                packed = array("I")  # rank pairs fit 32 bits up to n = 7
-                buckets[sigma] = packed
-            packed.append(ia * size + ib)
-    return CommutatorBuckets(n, buckets, perms)
-
-
-@functools.cache
-def get_buckets(n: int) -> CommutatorBuckets:
-    return build_buckets(n)
+    perms = list(itertools.permutations(range(n)))
+    buckets: dict[Permutation, list] = {}
+    for a in perms:
+        for b in perms:
+            buckets.setdefault(commutator(a, b), []).append((a, b))
+    return CommutatorBuckets(sorted(buckets.items()))
 
 
 def _walk(n: int, genus: int):
     """Images of every point in enumeration order: commutator values in
-    bucket-key order, block by block.
-
-    The last block is fixed by the product before it, so its pairs are listed
-    once per value of the block before it and reused for each of that block's
-    pairs.
-    """
+    bucket-key order, block by block. The last block is fixed by the product
+    before it, so its bucket is looked up once per value of the block before."""
     buckets = get_buckets(n)
-    keys = buckets.keys()
 
     def blocks(prefix: Permutation, blocks_left: int, images: tuple):
-        for sigma in keys:
+        for sigma, pairs in buckets.items():
             nxt = compose(prefix, sigma)
             if blocks_left == 2:
-                tail = list(buckets.pairs(inverse(nxt)))
-                for a, b in buckets.pairs(sigma):
+                tail = buckets.get(inverse(nxt), ())
+                for a, b in pairs:
                     for c, d in tail:
                         yield images + (a, b, c, d)
             else:
-                for a, b in buckets.pairs(sigma):
+                for a, b in pairs:
                     yield from blocks(nxt, blocks_left - 1, images + (a, b))
 
     return blocks(identity(n), genus, ())

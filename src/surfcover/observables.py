@@ -175,11 +175,10 @@ def spec_from_text(text: str, genus: int) -> ObservableSpec:
             if m is None:
                 raise ValueError(f"bad spec group {chunk.strip()!r}")
             word = word_from_text(m.group("word"), genus)
-            exps_text = m.group("exps")
-            if exps_text is None or not exps_text.strip():
-                exponents: tuple[int, ...] = (1,)
-            else:
-                exponents = tuple(int(tok) for tok in exps_text.split(",") if tok.strip())
+            exps_text = m.group("exps")  # omitted means [1]; an empty list is refused
+            exponents = (1,) if exps_text is None else tuple(
+                int(tok) for tok in exps_text.split(",") if tok.strip()
+            )
             power = int(m.group("pow") or 1)
             groups.append(ObservableGroup(word, exponents, power))
     return ObservableSpec(tuple(groups), genus)
@@ -193,23 +192,10 @@ def spec_to_text(spec: ObservableSpec) -> str:
     return "; ".join(chunks)
 
 
-def spec_to_json(spec: ObservableSpec) -> dict:
-    return {
-        "genus": spec.genus,
-        "groups": [
-            {
-                "word": word_to_text(g.word),
-                "exps": list(g.exponents),
-                "pow": g.power,
-            }
-            for g in spec.groups
-        ],
-    }
-
-
 def spec_from_json(obj, genus: int | None = None) -> ObservableSpec:
     """Spec from {"genus": g, "groups": [{"word": text, "exps": [ints], "pow": int}]};
-    genus, exps and pow are optional. Any other shape raises ValueError."""
+    genus, exps and pow are optional. Any other shape, or a JSON genus other
+    than a given `genus`, raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or not isinstance(obj.get("groups"), list):
@@ -217,6 +203,8 @@ def spec_from_json(obj, genus: int | None = None) -> ObservableSpec:
     g = obj.get("genus", genus)
     if type(g) is not int:  # bools refused too
         raise ValueError("spec JSON needs an integer genus")
+    if genus is not None and g != genus:
+        raise ValueError(f"spec JSON genus {g} differs from requested genus {genus}")
     groups = []
     for entry in obj["groups"]:
         if not isinstance(entry, dict) or not isinstance(entry.get("word"), str):

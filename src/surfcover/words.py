@@ -113,18 +113,6 @@ def power_word(base: Word, a: int) -> Word:
     return Word(_reduce_letters(base.letters * a), base.genus)
 
 
-def cyclic_reduce(w: Word) -> Word:
-    """Strip mutually inverse first/last letters; the result is conjugate to w."""
-    letters = w.letters
-    while len(letters) >= 2:
-        (i1, s1), (i2, s2) = letters[0], letters[-1]
-        if i1 == i2 and s1 == -s2:
-            letters = _reduce_letters(letters[1:-1])
-        else:
-            break
-    return Word(letters, w.genus)
-
-
 @lru_cache(maxsize=None)
 def relator(genus: int) -> Word:
     """The defining relator: product over handles of x^-1 y^-1 x y."""

@@ -223,14 +223,26 @@ def test_refused_table_exits_with_error(capsys):
 
 
 def test_out_of_range_values_exit_with_error(capsys):
+    genus3 = '{"genus":3,"groups":[{"word":"a3"}]}'
     for argv in (
         ["sample", "-n", "3", "--seed", "-1"],
         ["sample", "-n", "3", "--seed", str(2**64)],
         ["sample", "-n", "3", "--count", "0"],
         ["verify-cycles", "-n", "4", "--words", "a1", "--samples", "200", "--max-d", "0"],
+        ["enumerate", "-n", "3", "--spec", 'g="a1" exps=[]'],
+        ["enumerate", "-n", "3", "--spec", '{"groups":[{"word":"a1","exps":[]}]}'],
+        ["verify-convergence", "-g", "2", "--n-values", "2,3", "--spec", genus3],
+        ["estimate", "-n", "5", "-g", "2", "--spec", genus3],
     ):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+    # refused in the argument checks, before the n = 22 plan is built
+    for command in ("estimate", "verify-cycles"):
+        argv = [command, "-n", "22", "--samples", "1", "--spec", 'g="a1"']
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --samples must be >= 2\n"
 
 
 def test_timings_opt_in():

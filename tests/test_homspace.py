@@ -15,7 +15,6 @@ from surfcover.homspace import (
     BudgetExceededError,
     Seed,
     _sample_commutator_fiber,
-    build_buckets,
     enumerate_homs,
     exact_expectation,
     generator_fix_expectation,
@@ -59,22 +58,26 @@ def f_spec(text, genus=2):
 
 
 def test_buckets_small():
-    b2 = build_buckets(2)
-    assert len(list(b2.pairs(identity(2)))) == 4
+    b2 = get_buckets(2)
+    assert len(b2[identity(2)]) == 4
     assert b2.total_pairs() == 4
-    b3 = build_buckets(3)
-    assert len(list(b3.pairs(identity(3)))) == 18
+    b3 = get_buckets(3)
+    assert len(b3[identity(3)]) == 18
     assert b3.total_pairs() == 36
-    for sigma in b3.keys():
-        assert len(list(b3.pairs(sigma))) == commutator_count(3, cycle_type(sigma))
-        for a, b in b3.pairs(sigma):
+    assert list(b3) == sorted(b3)
+    for sigma, pairs in b3.items():
+        assert len(pairs) == commutator_count(3, cycle_type(sigma))
+        assert pairs == sorted(pairs)
+        for a, b in pairs:
             assert commutator(a, b) == sigma
 
 
 def test_buckets_refused_past_materialize_limit():
-    assert PAIR_MATERIALIZE_LIMIT == 7
+    assert PAIR_MATERIALIZE_LIMIT == 6
     with pytest.raises(ValueError):
-        build_buckets(8)
+        get_buckets(7)
+    with pytest.raises(ValueError):
+        get_buckets(0)
 
 
 def test_enumerate_counts():

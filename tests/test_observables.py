@@ -16,7 +16,6 @@ from surfcover.observables import (
     power_identity_holds,
     spec_from_json,
     spec_from_text,
-    spec_to_json,
     spec_to_text,
 )
 from surfcover.perms import HomPoint, fix_count, identity, inverse
@@ -193,14 +192,27 @@ def test_spec_text_round_trip():
 
 def test_spec_json_round_trip():
     spec = spec_from_text('g="a1 b2\'" exps=[1,2] pow=3', 2)
-    payload = spec_to_json(spec)
+    payload = {"genus": 2, "groups": [{"word": "a1 b2'", "exps": [1, 2], "pow": 3}]}
     assert spec_from_json(payload) == spec
-    assert payload["groups"][0]["exps"] == [1, 2]
 
 
 def test_spec_genus_consistency():
     with pytest.raises(ValueError):
         ObservableSpec((ObservableGroup(w("a1", 3), (1,)),), 2)
+    payload = {"genus": 3, "groups": [{"word": "a3"}]}
+    assert spec_from_json(payload).genus == 3
+    assert spec_from_json(payload, 3).genus == 3
+    with pytest.raises(ValueError):
+        spec_from_json(payload, 2)
+    assert spec_from_json({"groups": [{"word": "a3"}]}, 3).genus == 3
+
+
+def test_spec_empty_exponent_list_refused():
+    assert spec_from_text('g="a1"', 2).groups[0].exponents == (1,)
+    with pytest.raises(ValueError):
+        spec_from_text('g="a1" exps=[]', 2)
+    with pytest.raises(ValueError):
+        spec_from_json({"groups": [{"word": "a1", "exps": []}]}, 2)
 
 
 def test_random_words_inverse_invariance():

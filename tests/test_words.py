@@ -11,7 +11,6 @@ from surfcover.words import (
     abelianize,
     concat,
     conjugated_word,
-    cyclic_reduce,
     dehn_reduce,
     distinct_in_p0_certificate,
     free_reduce,
@@ -63,12 +62,6 @@ def test_word_validation():
         word_from_text("a1", 1)  # genus too small
     with pytest.raises(ValueError):
         word_from_text("a3", 2)  # generator beyond genus
-
-
-def test_cyclic_reduce():
-    assert cyclic_reduce(w("a1 b1 a1'")) == w("b1")
-    assert cyclic_reduce(w("b1 a2")) == w("b1 a2")
-    assert cyclic_reduce(w("a1 a1")) == w("a1 a1")
 
 
 def test_dehn_reduce_relator_and_short_words():
