@@ -119,15 +119,35 @@ def test_oversized_plan_refused_up_front():
     assert time.perf_counter() - start < 1.0
 
 
+def relator_product(images, n):
+    """Product over handles of a⁻¹ b⁻¹ a b, left to right, as a list; built
+    here from index lookups alone, independent of surfcover.perms."""
+    prod = list(range(n))
+    for a, b in zip(images[::2], images[1::2]):
+        a_inv = [a.index(v) for v in range(n)]
+        b_inv = [b.index(v) for v in range(n)]
+        for step in (a_inv, b_inv, a, b):
+            prod = [step[v] for v in prod]
+    return prod
+
+
 def test_enumerate_visits_distinct_valid_points():
-    seen = set()
-    enumerate_homs(3, 2, seen.add)
-    assert len(seen) == 486
-    for h in itertools.islice(seen, 50):
-        prod = identity(3)
-        for i in range(2):
-            prod = compose(prod, commutator(h.images[2 * i], h.images[2 * i + 1]))
-        assert prod == identity(3)
+    for n, genus in ((3, 2), (2, 3), (3, 3)):
+        seen = set()
+        enumerate_homs(n, genus, seen.add)
+        assert len(seen) == hom_count(n, genus)
+        for h in seen:
+            assert len(h.images) == 2 * genus
+            assert all(sorted(p) == list(range(n)) for p in h.images)
+            assert relator_product(h.images, n) == list(range(n))
+
+
+@pytest.mark.parametrize("n, genus", [(16, 2), (10, 3)])
+def test_sampled_points_satisfy_the_relator(n, genus):
+    for h in sample_stream(get_sampler(n, genus), 17, 200):
+        assert len(h.images) == 2 * genus
+        assert all(sorted(p) == list(range(n)) for p in h.images)
+        assert relator_product(h.images, n) == list(range(n))
 
 
 def test_exact_expectation_against_direct_average():

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from surfcover.homspace import enumerate_homs
+from surfcover.characters import hom_count
+from surfcover.homspace import enumerate_homs, get_sampler, sample_hom, stream_for
 from surfcover.perms import (
     HomPoint,
     commutator,
@@ -19,7 +21,7 @@ from surfcover.perms import (
     inverse,
     parse_cycles,
 )
-from surfcover.words import relator, word_from_text
+from surfcover.words import Word, relator, word_from_text
 
 
 def rand_perm(rng, n):
@@ -119,26 +121,79 @@ def test_commutator_matches_word_evaluation():
 
 
 def make_hom(a, b, c, d):
+    return make_point((a, b, c, d), 2, len(a))
+
+
+def make_point(images, genus, n):
     try:
-        return HomPoint((a, b, c, d), 2, len(a))
+        return HomPoint(images, genus, n)
     except ValueError:
         return None
 
 
 def test_hompoint_validation():
+    # every tuple of S_3^(2g): HomPoint keeps exactly those whose product of
+    # commutators, by the commutator/compose formula, is the identity
     n = 3
     perms = list(itertools.permutations(range(n)))
-    good = 0
-    for a in perms:
-        for b in perms:
-            lead = commutator(a, b)
-            for c in perms:
-                for d in perms:
-                    if compose(lead, commutator(c, d)) == identity(n):
-                        good += 1
-    assert good == 486
+    comms = {(a, b): commutator(a, b) for a in perms for b in perms}
+    for genus, count in ((2, 486), (3, 16038)):
+        kept, solutions = set(), set()
+        for handles in itertools.product(comms, repeat=genus):
+            images = sum(handles, ())
+            prod = identity(n)
+            for pair in handles:
+                prod = compose(prod, comms[pair])
+            if prod == identity(n):
+                solutions.add(images)
+            if make_point(images, genus, n) is not None:
+                kept.add(images)
+        assert len(solutions) == hom_count(n, genus) == count
+        assert kept == solutions
     with pytest.raises(ValueError):
         HomPoint(((1, 0, 2), (0, 2, 1), identity(3), identity(3)), 2, 3)
+
+
+def random_reduced_word(rng, genus, length):
+    letters = []
+    while len(letters) < length:
+        letter = (rng.randrange(2 * genus), rng.choice((1, -1)))
+        if letters and letters[-1] == (letter[0], -letter[1]):
+            continue
+        letters.append(letter)
+    return Word(tuple(letters), genus)
+
+
+def fold_word(images, w):
+    """Left-to-right product of the word's letter images."""
+    return functools.reduce(
+        compose,
+        [images[idx] if sign > 0 else inverse(images[idx]) for idx, sign in w.letters],
+    )
+
+
+def word_image_cases():
+    rng = random.Random(23)
+    points = {2: [], 3: []}
+    enumerate_homs(3, 2, points[2].append)
+    for n, genus in ((16, 2), (10, 3)):
+        stream = stream_for(29, n)
+        plan = get_sampler(n, genus)
+        points[genus] += [sample_hom(plan, stream) for _ in range(60)]
+    for genus, hs in points.items():
+        words = [random_reduced_word(rng, genus, 1 + i % 8) for i in range(48)]
+        letters = {letter for w in words for letter in w.letters}
+        assert letters == {(i, s) for i in range(2 * genus) for s in (1, -1)}
+        yield hs, words
+
+
+def test_word_images_match_a_left_to_right_fold():
+    for points, words in word_image_cases():
+        for h in points:
+            for w in words:
+                expected = fold_word(h.images, w)
+                assert evaluate_word(h, w) == expected
+                assert h.cycle_type_of(w) == cycle_type(expected)
 
 
 def test_evaluate_word():
