@@ -101,43 +101,55 @@ class HomPoint:
     """Images of the 2g generators under one homomorphism to S_n.
 
     images[2*i] and images[2*i+1] are the images of handle i's generator pair.
-    Construction checks the relator, so every HomPoint in circulation is a
-    genuine homomorphism.
+    Construction checks that every image is a permutation of range(n) and then
+    checks the relator in one pass, tracing range(n) through a_i^-1 b_i^-1 a_i
+    b_i handle by handle, so every HomPoint in circulation is a genuine
+    homomorphism. The generators' inverses are computed there once and kept
+    for evaluate_word; like the cycle-type cache they take no part in
+    equality, hashing or repr.
     """
 
     images: tuple[Permutation, ...]
     genus: int
     n: int
+    _inverses: tuple = field(default=(), init=False, repr=False, compare=False)
     _types: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.images) != 2 * self.genus:
+        images = self.images
+        if len(images) != 2 * self.genus:
             raise ValueError("need one image per generator")
-        for p in self.images:
-            if len(p) != self.n:
-                raise ValueError("image size mismatch")
-        prod = identity(self.n)
-        for i in range(self.genus):
-            prod = compose(prod, commutator(self.images[2 * i], self.images[2 * i + 1]))
-        if prod != identity(self.n):
+        points = list(range(self.n))
+        for p in images:
+            if sorted(p) != points:
+                raise ValueError("every image must be a permutation of range(n)")
+        inverses = tuple(map(inverse, images))
+        object.__setattr__(self, "_inverses", inverses)
+        trace = points
+        for a, b, a_inv, b_inv in zip(images[::2], images[1::2], inverses[::2], inverses[1::2]):
+            trace = [b[a[b_inv[a_inv[v]]]] for v in trace]
+        if trace != points:
             raise ValueError("images do not satisfy the surface relator")
 
     def cycle_type_of(self, w: Word) -> tuple[int, ...]:
         """cycle_type(evaluate_word(self, w)), computed once per point and word."""
-        if w not in self._types:
-            self._types[w] = cycle_type(evaluate_word(self, w))
-        return self._types[w]
+        types = self._types.get(w)
+        if types is None:
+            types = self._types[w] = cycle_type(evaluate_word(self, w))
+        return types
 
 
 def evaluate_word(h: HomPoint, w: Word) -> Permutation:
     """Product of generator images along the word, left to right."""
     if w.genus != h.genus:
         raise ValueError("genus mismatch")
-    result = identity(h.n)
-    for idx, sign in w.letters:
-        img = h.images[idx] if sign > 0 else inverse(h.images[idx])
-        result = compose(result, img)
-    return result
+    steps = [h.images[i] if sign > 0 else h._inverses[i] for i, sign in w.letters]
+    if not steps:
+        return identity(h.n)
+    result = steps[0]
+    for img in steps[1:]:
+        result = [img[v] for v in result]
+    return tuple(result)
 
 
 def cycles_str(p: Permutation) -> str:

@@ -154,6 +154,20 @@ def test_hompoint_validation():
         HomPoint(((1, 0, 2), (0, 2, 1), identity(3), identity(3)), 2, 3)
 
 
+def test_hompoint_refuses_non_permutations():
+    # construction only: a cycle walk on such an image need never end
+    ident = (0, 1)
+    negative, out_of_range, repeated = (0, -1), (0, 5), (1, 1)
+    for bad in (negative, out_of_range, repeated, (0,), (0, 1, 2)):
+        for slot in range(4):
+            images = [ident] * 4
+            images[slot] = bad
+            with pytest.raises(ValueError, match="permutation"):
+                HomPoint(tuple(images), 2, 2)
+    with pytest.raises(ValueError, match="permutation"):
+        HomPoint(((0, 5), (1, 0), (0, 1), (0, 1)), 2, 2)
+
+
 def random_reduced_word(rng, genus, length):
     letters = []
     while len(letters) < length:
