@@ -119,16 +119,20 @@ def test_oversized_plan_refused_up_front():
     assert time.perf_counter() - start < 1.0
 
 
-def relator_product(images, n):
-    """Product over handles of a⁻¹ b⁻¹ a b, left to right, as a list; built
-    here from index lookups alone, independent of surfcover.perms."""
-    prod = list(range(n))
-    for a, b in zip(images[::2], images[1::2]):
-        a_inv = [a.index(v) for v in range(n)]
-        b_inv = [b.index(v) for v in range(n)]
+def assert_genuine_point(h, n, genus):
+    """Each image a permutation of range(n), and the product over handles of
+    a⁻¹ b⁻¹ a b, left to right, the identity; computed here from index
+    lookups alone, independent of surfcover.perms."""
+    points = list(range(n))
+    assert len(h.images) == 2 * genus
+    assert all(sorted(p) == points for p in h.images)
+    prod = points
+    for a, b in zip(h.images[::2], h.images[1::2]):
+        a_inv = [a.index(v) for v in points]
+        b_inv = [b.index(v) for v in points]
         for step in (a_inv, b_inv, a, b):
             prod = [step[v] for v in prod]
-    return prod
+    assert prod == points
 
 
 def test_enumerate_visits_distinct_valid_points():
@@ -137,17 +141,13 @@ def test_enumerate_visits_distinct_valid_points():
         enumerate_homs(n, genus, seen.add)
         assert len(seen) == hom_count(n, genus)
         for h in seen:
-            assert len(h.images) == 2 * genus
-            assert all(sorted(p) == list(range(n)) for p in h.images)
-            assert relator_product(h.images, n) == list(range(n))
+            assert_genuine_point(h, n, genus)
 
 
 @pytest.mark.parametrize("n, genus", [(16, 2), (10, 3)])
 def test_sampled_points_satisfy_the_relator(n, genus):
     for h in sample_stream(get_sampler(n, genus), 17, 200):
-        assert len(h.images) == 2 * genus
-        assert all(sorted(p) == list(range(n)) for p in h.images)
-        assert relator_product(h.images, n) == list(range(n))
+        assert_genuine_point(h, n, genus)
 
 
 def test_exact_expectation_against_direct_average():

@@ -186,24 +186,18 @@ def fold_word(images, w):
     )
 
 
-def word_image_cases():
+def test_word_images_match_a_left_to_right_fold():
     rng = random.Random(23)
     points = {2: [], 3: []}
     enumerate_homs(3, 2, points[2].append)
     for n, genus in ((16, 2), (10, 3)):
-        stream = stream_for(29, n)
-        plan = get_sampler(n, genus)
+        stream, plan = stream_for(29, n), get_sampler(n, genus)
         points[genus] += [sample_hom(plan, stream) for _ in range(60)]
     for genus, hs in points.items():
         words = [random_reduced_word(rng, genus, 1 + i % 8) for i in range(48)]
         letters = {letter for w in words for letter in w.letters}
         assert letters == {(i, s) for i in range(2 * genus) for s in (1, -1)}
-        yield hs, words
-
-
-def test_word_images_match_a_left_to_right_fold():
-    for points, words in word_image_cases():
-        for h in points:
+        for h in hs:
             for w in words:
                 expected = fold_word(h.images, w)
                 assert evaluate_word(h, w) == expected
