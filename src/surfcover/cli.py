@@ -14,8 +14,10 @@ import io
 import json
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from . import acceptance
 from .characters import BudgetExceededError, get_table, hom_count, witten_zeta
@@ -98,47 +100,57 @@ def read_config(path: str) -> dict:
     return values
 
 
-# Values for arguments that neither a flag nor --config gives.
-DEFAULTS = {
-    "g": 2,
-    "format": "json",
-    "seed": 0,
-    "samples": 100_000,
-    "budget_visits": DEFAULT_MAX_VISITS,
-    "count": 1,
-    "max_d": 3,
-    "n_values": "2,3,4",
-}
-_INT_KEYS = {"n"} | {key for key, value in DEFAULTS.items() if isinstance(value, int)}
+class Flag(NamedTuple):
+    options: tuple[str, ...]
+    kwargs: dict  # for add_argument: type, help, choices, action or required
+    default: object = None  # the value when neither the flag nor --config gives one
+    check: Callable | None = None  # value -> error message, or None when it is fine
+
+
+def _at_least(low, name):
+    return lambda value: f"{name} must be >= {low}" if value < low else None
+
+
 FORMATS = ("json", "csv")
+# Every flag, declared once; build_parser names the ones each command reads.
+FLAGS = {
+    "n": Flag(("-n",), dict(type=int, help="degree of S_n"), None, _at_least(1, "-n")),
+    "g": Flag(("-g",), dict(type=int, help="genus (default 2)"), 2, _at_least(2, "genus")),
+    "s": Flag(("-s",), dict(type=int, required=True)),
+    "spec": Flag(("--spec",), dict(help="""e.g. 'g="a1" exps=[2,3] pow=1; d="a2" exps=[4]'""")),
+    "word": Flag(("--word",), dict(help="report the image of this word")),
+    "words": Flag(("--words",), dict(help="comma separated words, e.g. a1,a2")),
+    "count": Flag(("--count",), dict(type=int, help="number of points to draw"), 1,
+                  _at_least(1, "--count")),
+    "n_values": Flag(("--n-values",), dict(help="comma separated, e.g. 2,3,4,8"), "2,3,4"),
+    "max_d": Flag(("--max-d",), dict(type=int), 3),
+    "samples": Flag(("--samples",), dict(type=int), 100_000, _at_least(2, "--samples")),
+    "seed": Flag(("--seed",), dict(type=int), 0),
+    "budget_visits": Flag(("--budget-visits",), dict(type=int), DEFAULT_MAX_VISITS),
+    "only": Flag(("--only",), dict(help="comma separated criterion numbers")),
+    "format": Flag(("--format",), dict(choices=FORMATS), "json",
+                   lambda value: None if value in FORMATS else f"unknown format {value!r}"),
+    "timings": Flag(("--timings",), dict(action="store_true", help="include runtime_ms")),
+    "config": Flag(("--config",), dict(help="flat key=value config file")),
+    "out": Flag(("--out",), dict(help="output file (default stdout)")),
+}
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Resolve every argument no flag gave, from --config and then DEFAULTS,
-    and range-check the result."""
-    # keys a subcommand does not take are skipped so one file can drive many
-    if args.config:
-        for key, raw in read_config(args.config).items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, int(raw) if key in _INT_KEYS else raw)
-    for key, value in DEFAULTS.items():
-        if getattr(args, key, None) is None:
+    """Resolve the command's flags that no flag gave, from --config and then the
+    default, and range-check them; config keys the command does not take are skipped."""
+    config = read_config(args.config) if args.config else {}
+    for key, flag in FLAGS.items():
+        if not hasattr(args, key):
+            continue
+        value = getattr(args, key)
+        if value is None:
+            value = flag.kwargs.get("type", str)(config[key]) if key in config else flag.default
             setattr(args, key, value)
-    if args.format not in FORMATS:
-        raise ValueError(f"unknown format {args.format!r}")
-    if args.format == "csv" and args.command in ("sample", "predict", "selftest"):
-        raise ValueError(f"{args.command} reports nest lists in a record; use --format json")
-    if args.g < 2:
-        raise ValueError("genus must be >= 2")
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
-    if args.samples < 2:
-        raise ValueError("--samples must be >= 2")
-    if args.needs_n:
-        if args.n is None:
+        if value is None and key == "n":
             raise ValueError(f"{args.command} needs -n")
-        if args.n < 1:
-            raise ValueError("-n must be >= 1")
+        if flag.check and (message := flag.check(value)):
+            raise ValueError(message)
     return args
 
 
@@ -284,8 +296,10 @@ def _verify_cycles(args):
 
 def _selftest(args):
     only = None
-    if args.only:
+    if args.only is not None:
         only = [int(tok) for tok in args.only.split(",") if tok.strip()]
+        if not only:
+            raise ValueError("--only names no criterion")
         for number in only:
             if number not in acceptance.CRITERIA:
                 raise ValueError(f"unknown criterion {number}")
@@ -308,49 +322,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, needs_n=False, spec=False, sampling=False):
+    def command(name, handler, help, *keys):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler, needs_n=needs_n)
-        p.add_argument("-n", type=int, default=None, help="degree of the symmetric group")
-        p.add_argument("-g", type=int, default=None, help="genus (default 2)")
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--format", default=None, choices=FORMATS)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--timings", action="store_true", help="include runtime_ms")
-        p.add_argument("--budget-visits", dest="budget_visits", type=int, default=None)
-        if spec:
-            example = """'gamma="a1" exps=[2,3] pow=1; delta="a2" exps=[4]'"""
-            p.add_argument("--spec", default=None, help=f"e.g. {example}")
-        if sampling:
-            p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
-        return p
+        p.set_defaults(handler=handler)
+        for key in (*keys, "config", "out"):
+            p.add_argument(*FLAGS[key].options, dest=key, **FLAGS[key].kwargs)
 
-    command("characters", _characters, "print the character table as CSV", needs_n=True)
-    p = command("zeta", _zeta, "Witten zeta value", needs_n=True)
-    p.add_argument("-s", type=int, required=True)
-    command("hom-count", _hom_count, "number of homomorphism points", needs_n=True)
+    report = ("format", "timings")
+    over_n = ("g", "spec", "n_values", "samples", "seed", "budget_visits", *report)
+    command("characters", _characters, "print the character table as CSV", "n")
+    command("zeta", _zeta, "Witten zeta value", "n", "s")
+    command("hom-count", _hom_count, "number of homomorphism points", "n", "g")
     command("enumerate", _enumerate, "exact expectation (or count) by enumeration",
-            needs_n=True, spec=True)
-    p = command("sample", _sample, "draw homomorphism points",
-                needs_n=True, spec=True, sampling=True)
-    p.add_argument("--count", type=int, default=None, help="number of points to draw")
-    p.add_argument("--word", default=None, help="report the image of this word")
+            "n", "g", "spec", "budget_visits", *report)
+    command("sample", _sample, "draw homomorphism points",
+            "n", "g", "seed", "count", "word", "timings")
     command("estimate", _estimate, "Monte Carlo expectation of a spec",
-            needs_n=True, spec=True, sampling=True)
-    command("predict", _predict, "exact limit prediction for a spec", spec=True)
-    p = command("verify-convergence", partial(_verify_over_n, run_convergence),
-                "joint moment against its limit over n", spec=True, sampling=True)
-    p.add_argument("--n-values", default=None, help="comma separated, e.g. 2,3,4,8")
-    p = command("verify-independence", partial(_verify_over_n, run_independence),
-                "joint versus product of groups over n", spec=True, sampling=True)
-    p.add_argument("--n-values", default=None)
-    p = command("verify-cycles", _verify_cycles, "short cycle statistics at one n",
-                needs_n=True, spec=True, sampling=True)
-    p.add_argument("--words", default=None, help="comma separated words, e.g. a1,a2")
-    p.add_argument("--max-d", dest="max_d", type=int, default=None)
-    p = command("selftest", _selftest, "run the acceptance criteria", sampling=True)
-    p.add_argument("--only", default=None, help="comma separated criterion numbers")
+            "n", "g", "spec", "samples", "seed", *report)
+    command("predict", _predict, "exact limit prediction for a spec", "g", "spec", "timings")
+    command("verify-convergence", partial(_verify_over_n, run_convergence),
+            "joint moment against its limit over n", *over_n)
+    command("verify-independence", partial(_verify_over_n, run_independence),
+            "joint versus product of groups over n", *over_n)
+    command("verify-cycles", _verify_cycles, "short cycle statistics at one n",
+            "n", "g", "words", "max_d", "samples", "seed", *report)
+    command("selftest", _selftest, "run the acceptance criteria",
+            "only", "samples", "seed", "timings")
     return parser
 
 
@@ -361,7 +358,8 @@ def run_command(args) -> tuple[bytes, int]:
     if isinstance(report, dict):
         if args.timings:
             report["runtime_ms"] = int((time.monotonic() - started) * 1000)
-        report = emit_report(report, args.format)
+        # sample, predict and selftest nest lists in a record and write JSON only
+        report = emit_report(report, getattr(args, "format", "json"))
     return report, code
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import eq
 
 from .words import Word
@@ -101,9 +102,10 @@ class HomPoint:
     """Images of the 2g generators under one homomorphism to S_n.
 
     images[2*i] and images[2*i+1] are the images of handle i's generator pair.
-    Construction checks that every image is a permutation of range(n) and then
-    checks the relator in one pass, tracing range(n) through a_i^-1 b_i^-1 a_i
-    b_i handle by handle, so every HomPoint in circulation is a genuine
+    Construction checks that every image is a permutation of range(n) whose
+    entries are all of type int (bools and floats are refused) and then checks
+    the relator in one pass, tracing range(n) through a_i^-1 b_i^-1 a_i b_i
+    handle by handle, so every HomPoint in circulation is a genuine
     homomorphism. The generators' inverses are computed there once and kept
     for evaluate_word; like the cycle-type cache they take no part in
     equality, hashing or repr.
@@ -120,6 +122,9 @@ class HomPoint:
         if len(images) != 2 * self.genus:
             raise ValueError("need one image per generator")
         points = list(range(self.n))
+        # one C-level pass over all entries; sorted() alone lets 1.0 or True through
+        if not {int}.issuperset(map(type, chain.from_iterable(images))):
+            raise ValueError("every image must be a permutation of range(n)")
         for p in images:
             if sorted(p) != points:
                 raise ValueError("every image must be a permutation of range(n)")

@@ -22,6 +22,7 @@ from .homspace import (
 )
 from .limits import limit_cycle_moment, limit_product_moment
 from .observables import ObservableSpec, cycle_count, joint_moment, spec_to_text
+from .words import IdentityWordError, is_identity
 
 ENUMERATE = "enumerate"
 SAMPLE = "sample"
@@ -163,6 +164,12 @@ def run_cycle_convergence(
     if max_d < 1 or max_d > n:
         raise ValueError("cycle lengths must satisfy 1 <= d <= n")
     genus = words[0].genus
+    # refused before the plan is built, which takes seconds and hundreds of MB past n = 20
+    for w in words:
+        if is_identity(w):
+            raise IdentityWordError("cycle statistics need a non-identity word")
+        if w.genus != genus:
+            raise ValueError("all words must have the same genus")
     sampler = get_sampler(n, genus)
     lengths = range(1, max_d + 1)
     evaluators = {}

@@ -1,16 +1,18 @@
+import argparse
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from surfcover.cli import build_parser, emit_report, main, read_config, run_command
+from surfcover.cli import _merge_config, build_parser, emit_report, main, read_config, run_command
 
 
 def run_cli(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
-    from surfcover.cli import _merge_config
-
     return run_command(_merge_config(args))
 
 
@@ -238,9 +240,8 @@ def test_out_of_range_values_exit_with_error(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
     # refused in the argument checks, before the n = 22 plan is built
-    for command in ("estimate", "verify-cycles"):
-        argv = [command, "-n", "22", "--samples", "1", "--spec", 'g="a1"']
-        assert main(argv) == 2
+    for argv in (["estimate", "--spec", 'g="a1"'], ["verify-cycles", "--words", "a1"]):
+        assert main([*argv, "-n", "22", "--samples", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: --samples must be >= 2\n"
 
@@ -316,14 +317,13 @@ def _flag(key):
 
 # every integer and string key each command takes, with non-default values
 CONFIG_RUNS = {
-    "sample": {"n": 5, "g": 3, "seed": 7, "samples": 10, "budget_visits": 100, "count": 2,
-               "spec": 'g="a1" exps=[1]', "word": "a1 b3", "format": "json"},
-    "estimate": {"n": 5, "g": 3, "seed": 7, "samples": 400, "budget_visits": 100,
+    "sample": {"n": 5, "g": 3, "seed": 7, "count": 2, "word": "a1 b3"},
+    "estimate": {"n": 5, "g": 3, "seed": 7, "samples": 400,
                  "spec": 'gamma="a1" exps=[1,2]; delta="a2" exps=[1]', "format": "json"},
-    "verify-convergence": {"n": 5, "g": 2, "seed": 7, "samples": 400, "budget_visits": 100,
+    "verify-convergence": {"g": 2, "seed": 7, "samples": 400, "budget_visits": 100,
                            "spec": 'g="a1" exps=[1]', "n_values": "2,3,5", "format": "json"},
-    "verify-cycles": {"n": 5, "g": 2, "seed": 7, "samples": 400, "budget_visits": 100,
-                      "max_d": 2, "spec": 'g="a1" exps=[1]', "words": "a1,b2", "format": "csv"},
+    "verify-cycles": {"n": 5, "g": 2, "seed": 7, "samples": 400,
+                      "max_d": 2, "words": "a1,b2", "format": "csv"},
 }
 
 
@@ -350,8 +350,10 @@ def test_missing_n_exits_with_error(tmp_path, capsys):
         for argv in ([command, *extra], [command, *extra, "--config", str(config)]):
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: {command} needs -n\n"
-    # commands that do not use -n do not range-check it
-    assert main(["predict", "-n", "0", "--spec", 'g="a1"']) == 0
+    # commands that do not use -n refuse it
+    with pytest.raises(SystemExit) as refused:
+        main(["predict", "-n", "0", "--spec", 'g="a1"'])
+    assert refused.value.code == 2
 
 
 def test_unreadable_config_or_unwritable_out_exits_with_error(tmp_path, capsys):
@@ -369,7 +371,7 @@ def test_bad_config_format_exits_before_the_work(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("format=xml\n")
     for argv in (
-        ["hom-count", "-n", "3"],
+        ["enumerate", "-n", "3"],
         ["estimate", "-n", "8", "--samples", "20000", "--spec", 'g="a1" exps=[1]'],
     ):
         assert main([*argv, "--config", str(config)]) == 2
@@ -377,11 +379,21 @@ def test_bad_config_format_exits_before_the_work(tmp_path, capsys):
         assert captured.err == "error: unknown format 'xml'\n" and captured.out == ""
 
 
-def test_unknown_criterion_exits_before_any_criterion_runs(capsys):
+def test_unknown_criterion_exits_before_any_criterion_runs(monkeypatch, capsys):
     for only in ("10", "5,10"):
         assert main(["selftest", "--only", only]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: unknown criterion 10\n" and captured.out == ""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    # an --only that names nothing must not fall back to the whole battery
+    monkeypatch.setattr("surfcover.acceptance.run_all", no_work)
+    for only in (",", " , ,", ""):
+        assert main(["selftest", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --only names no criterion\n" and captured.out == ""
 
 
 def test_selftest_lines_go_to_stderr_and_report_alone_to_stdout(tmp_path, capsys):
@@ -412,9 +424,62 @@ def test_csv_writes_every_table_and_refuses_nested_reports(monkeypatch, capsysbi
 
     monkeypatch.setattr("surfcover.cli.sample_hom", no_work)
     monkeypatch.setattr("surfcover.acceptance.run_all", no_work)
+    # these reports nest lists in a record, so their commands take no --format
     for argv in (["sample", "-n", "3"], ["selftest", "--only", "5"],
                  ["predict", "--spec", 'g="a1" exps=[1]']):
-        assert main([*argv, "--format", "csv"]) == 2
+        with pytest.raises(SystemExit) as refused:
+            main([*argv, "--format", "csv"])
+        assert refused.value.code == 2
         captured = capsysbinary.readouterr()
         assert captured.out == b""
-        assert captured.err.startswith(f"error: {argv[0]} reports nest lists".encode())
+        assert b"unrecognized arguments: --format csv" in captured.err
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one run per command, each on a small input
+EVERY_COMMAND = [
+    ["characters", "-n", "3"],
+    ["zeta", "-n", "3", "-s", "2"],
+    ["hom-count", "-n", "3"],
+    ["enumerate", "-n", "3", "--spec", 'g="a1"'],
+    ["sample", "-n", "3", "--word", "a1"],
+    ["estimate", "-n", "3", "--spec", 'g="a1"', "--samples", "20"],
+    ["predict", "--spec", 'g="a1" exps=[4]'],
+    ["verify-convergence", "--spec", 'g="a1"', "--n-values", "2,3"],
+    ["verify-independence", "--spec", 'g="a1"; d="a2"', "--n-values", "2,3"],
+    ["verify-cycles", "-n", "4", "--words", "a1", "--samples", "20"],
+    ["selftest", "--only", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
+def test_every_declared_flag_is_read(argv):
+    args = build_parser().parse_args(argv, namespace=RecordingNamespace())
+    # --config is read while merging and --out by main
+    declared = set(vars(args)) - {"_reads", "command", "handler", "config", "out"}
+    reads = object.__getattribute__(args, "_reads")
+    _merge_config(args)
+    reads.clear()
+    run_command(args)
+    assert declared and declared <= reads, f"{argv[0]} never reads {sorted(declared - reads)}"
+
+
+def test_readme_shows_only_flags_its_commands_take():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("surfcover ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -166,6 +166,10 @@ def test_hompoint_refuses_non_permutations():
                 HomPoint(tuple(images), 2, 2)
     with pytest.raises(ValueError, match="permutation"):
         HomPoint(((0, 5), (1, 0), (0, 1), (0, 1)), 2, 2)
+    # entries equal to 0 and 1 that are not ints
+    for bad in ((0.0, 1.0), (False, True)):
+        with pytest.raises(ValueError, match="permutation"):
+            HomPoint((bad, ident, ident, ident), 2, 2)
 
 
 def random_reduced_word(rng, genus, length):

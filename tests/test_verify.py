@@ -3,7 +3,8 @@ from functools import partial
 
 import pytest
 
-from surfcover import homspace, observables, perms
+from surfcover import homspace, observables, perms, verify
+from surfcover.cli import main
 from surfcover.limits import limit_product_moment
 from surfcover.observables import ObservableGroup, ObservableSpec
 from surfcover.verify import (
@@ -15,7 +16,7 @@ from surfcover.verify import (
     run_cycle_convergence,
     run_independence,
 )
-from surfcover.words import word_from_text
+from surfcover.words import IdentityWordError, word_from_text
 
 
 def w(text):
@@ -154,6 +155,19 @@ def test_run_cycle_convergence_sampled():
         run_cycle_convergence([w("a1")], 9, 5, 100)
     with pytest.raises(ValueError):
         run_cycle_convergence([], 2, 5, 100)
+
+
+def test_cycle_convergence_refuses_bad_words_before_the_plan(monkeypatch, capsys):
+    def no_plan(*args):
+        raise AssertionError("the plan was built")
+
+    monkeypatch.setattr(verify, "get_sampler", no_plan)
+    with pytest.raises(IdentityWordError):
+        run_cycle_convergence([w("a1"), w("a1 a1'")], 2, 22, 100)
+    with pytest.raises(ValueError, match="same genus"):
+        run_cycle_convergence([w("a1"), word_from_text("a3", 3)], 2, 22, 100)
+    assert main(["verify-cycles", "-n", "22", "--words", "a1,"]) == 2
+    assert capsys.readouterr().err == "error: cycle statistics need a non-identity word\n"
 
 
 def test_cycle_convergence_evaluates_each_word_once_per_point(monkeypatch):
