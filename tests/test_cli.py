@@ -300,6 +300,10 @@ GOLDEN_CLI = [
         ["selftest", "--only", "2,3,5"],
         "7a41d555ee2c270320385f888e8f7ff8913018cdd122e846d3c6516f2e348154",
     ),
+    (
+        ["characters", "-n", "6"],
+        "6fd9e3fed0b3269017b2133f40617950dc128d2597ea0b4f086025a627ecfc49",
+    ),
 ]
 
 

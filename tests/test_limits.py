@@ -1,5 +1,8 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -112,6 +115,15 @@ def test_limit_cycle_moment():
     assert limit_cycle_moment([(0, 2, 1), (0, 2, 1)]) == poisson_moment(
         Fraction(1, 2), 2
     )
+    # every entry and pair of entries over a grid, against the product of
+    # independent Poisson(1/d) moments over the merged coordinates
+    grid = list(itertools.product(range(2), range(1, 5), range(4)))
+    for entries in itertools.chain(([e] for e in grid), itertools.product(grid, repeat=2)):
+        merged = Counter()
+        for group_index, length, power in entries:
+            merged[group_index, length] += power
+        expected = prod(poisson_moment(Fraction(1, d), e) for (_, d), e in merged.items())
+        assert limit_cycle_moment(entries) == expected, entries
 
 
 def test_factorization_identity_random_specs():

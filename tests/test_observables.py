@@ -65,6 +65,12 @@ def test_fixed_points_and_cycles():
         cycle_count(h, w("a1 a1'"), 1)
     with pytest.raises(ValueError):
         cycle_count(h, w("a1"), 5)
+    # fixed points are the 1-cycles, on every point of Hom(Gamma_2, S_3)
+    words = [w("a1"), w("a1 b1"), w("b2^2")]
+    mismatches = []
+    enumerate_homs(3, 2, lambda h: mismatches.extend(
+        x for x in words if fixed_points(h, x) != cycle_count(h, x, 1)))
+    assert not mismatches
 
 
 def test_power_identity_on_enumeration():
