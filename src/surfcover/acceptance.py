@@ -22,6 +22,7 @@ from .characters import class_size, commutator_count, get_table, hom_count
 from .homspace import (
     Seed,
     enumerate_homs,
+    generator_fix_expectation,
     generator_spec_expectation,
     get_sampler,
     handle_product_means,
@@ -130,14 +131,10 @@ class AcceptanceContext:
             )
         return self._stats[n]
 
-    def exact_generator_mean(self, n: int) -> Fraction:
-        """Exact finite-n mean of F(a1), the fixed points C_1(a1)."""
-        return self.exact_cycle_moments(n)[0][1]
-
     def fixed_point_fit(self):
         """|E_n[F(a1)] - 1| by n, exact at EXACT_N and sampled at SAMPLED_N,
         and its O(1/n) fit."""
-        errors = {n: float(abs(self.exact_generator_mean(n) - 1)) for n in EXACT_N}
+        errors = {n: float(abs(generator_fix_expectation(n, GENUS) - 1)) for n in EXACT_N}
         errors.update((n, abs(self.sampled_stats(n).mean("c1_1") - 1.0)) for n in SAMPLED_N)
         return errors, fit_inverse_n(errors.items())
 
@@ -343,10 +340,10 @@ def criterion_convergence(ctx: AcceptanceContext) -> tuple[bool, str]:
     exact means at n = 2, 3, 4 and the sampled errors through an O(1/n) fit.
     """
     errors, fit = ctx.fixed_point_fit()
-    lines = [f"n={n} exact={ctx.exact_generator_mean(n)}" for n in EXACT_N]
+    lines = [f"n={n} exact={generator_fix_expectation(n, GENUS)}" for n in EXACT_N]
     band_ok = True
     for n in SAMPLED_N:
-        inside, text = _band(ctx.sampled_stats(n), "c1_1", n, ctx.exact_generator_mean(n))
+        inside, text = _band(ctx.sampled_stats(n), "c1_1", n, generator_fix_expectation(n, GENUS))
         band_ok = band_ok and inside
         lines.append(f"{text} |mean-1|={errors[n]:.5f}")
     finite_ok = isfinite(fit.max_n_times_error)

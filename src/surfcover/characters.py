@@ -10,7 +10,7 @@ shape with beta set B means replacing some b in B by b - L when b - L is
 fresh, with sign (-1)^(number of beta values jumped over). A table's values
 are built all at once, on first use, as a dense class-major matrix; a table
 of more than MAX_TABLE_ENTRIES entries is refused with BudgetExceededError
-before anything is built, as is any table past S_MAX_TABLE_N.
+before anything is built, as is any table past MAX_TABLE_N.
 """
 
 from __future__ import annotations

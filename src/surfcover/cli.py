@@ -125,7 +125,8 @@ FLAGS = {
     "n_values": Flag(("--n-values",), dict(help="comma separated, e.g. 2,3,4,8"), "2,3,4"),
     "max_d": Flag(("--max-d",), dict(type=int), 3),
     "samples": Flag(("--samples",), dict(type=int), 100_000, _at_least(2, "--samples")),
-    "seed": Flag(("--seed",), dict(type=int), 0),
+    "seed": Flag(("--seed",), dict(type=int), 0,
+                 lambda value: None if 0 <= value < 2**64 else "--seed must be in [0, 2**64)"),
     "budget_visits": Flag(("--budget-visits",), dict(type=int), DEFAULT_MAX_VISITS),
     "only": Flag(("--only",), dict(help="comma separated criterion numbers")),
     "format": Flag(("--format",), dict(choices=FORMATS), "json",
@@ -170,12 +171,9 @@ def _parse_spec(raw, genus: int):
 def _characters(args):
     table = get_table(args.n).freeze()
     labels = ["+".join(str(p) for p in mu) or "0" for mu in table.partitions]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["partition"] + labels)
-    for label, row in zip(labels, zip(*table.matrix)):
-        writer.writerow([label, *row])
-    return buf.getvalue().encode(), 0
+    rows = [{"partition": label, **dict(zip(labels, row))}
+            for label, row in zip(labels, zip(*table.matrix))]
+    return emit_report(rows, "csv"), 0
 
 
 def _zeta(args):

@@ -462,7 +462,7 @@ def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.
     return a, uniform_conjugator(a, moved, rng)
 
 
-def sample_hom(plan: SamplerPlan, seed) -> HomPoint:
+def sample_hom(plan: SamplerPlan, rng: random.Random) -> HomPoint:
     """One exactly uniform homomorphism point; HomPoint checks its relator.
 
     The first block, of class K with weight W_K = |K| N_1(K) N_{g-1}(K), is with
@@ -473,7 +473,6 @@ def sample_hom(plan: SamplerPlan, seed) -> HomPoint:
     outside it is drawn by weight, then a uniform element and a uniform pair
     with that commutator.
     """
-    rng = seed if isinstance(seed, random.Random) else stream_for(seed)
     n, genus = plan.n, plan.genus
     r = rng.randrange(plan.total_weight)
     if r < plan.bulk_mass:

@@ -137,10 +137,7 @@ def limit_cycle_moment(entries) -> Fraction:
             raise ValueError("cycle length must be >= 1 and power >= 0")
         key = (group, length)
         merged[key] = merged.get(key, 0) + power
-    value = Fraction(1)
-    for (_, length), power in sorted(merged.items()):
-        value *= poisson_moment(Fraction(1, length), power)
-    return value
+    return _moment_of_monomial(tuple(sorted(merged.items())))
 
 
 def factorization_identity_holds(spec: ObservableSpec) -> bool:

@@ -98,10 +98,8 @@ class ObservableSpec:
 
 
 def fixed_points(h: HomPoint, w: Word) -> int:
-    """Fixed points of the image of w; rejects the identity word."""
-    if is_identity(w):
-        raise IdentityWordError("fixed-point statistics need a non-identity word")
-    return h.cycle_type_of(w).count(1)
+    """Fixed points of the image of w, its 1-cycles; rejects the identity word."""
+    return cycle_count(h, w, 1)
 
 
 def cycle_count(h: HomPoint, w: Word, d: int) -> int:

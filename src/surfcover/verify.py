@@ -37,6 +37,8 @@ class ExperimentPlan:
     budget_visits: int = DEFAULT_MAX_VISITS
 
     def __post_init__(self) -> None:
+        if not self.n_values:
+            raise ValueError("n_values names no n")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n values must be strictly increasing")
         if self.samples < 2:

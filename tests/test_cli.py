@@ -246,6 +246,47 @@ def test_out_of_range_values_exit_with_error(capsys):
         assert out == "" and err == "error: --samples must be >= 2\n"
 
 
+def _refuse_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    for target in ("surfcover.cli.get_sampler", "surfcover.verify.get_sampler",
+                   "surfcover.verify.exact_means", "surfcover.acceptance.run_all"):
+        monkeypatch.setattr(target, no_work)
+
+
+SEEDED_COMMANDS = [
+    ["sample", "-n", "20"],
+    ["estimate", "-n", "20", "--spec", 'g="a1"'],
+    ["verify-convergence", "--spec", 'g="a1"', "--n-values", "2,3"],
+    ["verify-independence", "--spec", 'g="a1"; d="a2"', "--n-values", "2,3"],
+    ["verify-cycles", "-n", "20", "--words", "a1"],
+    ["selftest", "--only", "5"],
+]
+
+
+def test_seed_out_of_range_exits_before_any_work(tmp_path, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    for seed in (-1, 2**64):
+        config = tmp_path / "run.conf"
+        config.write_text(f"seed={seed}\n")
+        for argv in SEEDED_COMMANDS:
+            for extra in (["--seed", str(seed)], ["--config", str(config)]):
+                assert main([*argv, *extra]) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: --seed must be in [0, 2**64)\n"
+
+
+def test_empty_n_values_exits_before_any_row(monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    for command in ("verify-convergence", "verify-independence"):
+        for n_values in (",", " , "):
+            assert main([command, "--spec", 'g="a1"', "--n-values", n_values]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "error: n_values names no n\n"
+
+
 def test_timings_opt_in():
     base, _ = run_cli(["enumerate", "-n", "2", "-g", "2"])
     assert b"runtime_ms" not in base

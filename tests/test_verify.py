@@ -50,6 +50,8 @@ def test_plan_validation():
         ExperimentPlan(F_A1, (4, 3))
     with pytest.raises(ValueError):
         ExperimentPlan(F_A1, (2, 3), samples=1)
+    with pytest.raises(ValueError, match="names no n"):
+        ExperimentPlan(F_A1, ())
     plan = ExperimentPlan(F_A1, (2, 3), budget_visits=16)  # hom_count(2, 2)
     assert plan.method_for(2) == ENUMERATE
     assert plan.method_for(3) == SAMPLE
