@@ -278,11 +278,13 @@ def test_seed_out_of_range_exits_before_any_work(tmp_path, monkeypatch, capsys):
                 assert captured.err == "error: --seed must be in [0, 2**64)\n"
 
 
-def test_empty_n_values_exits_before_any_row(monkeypatch, capsys):
+def test_empty_n_values_exits_before_any_row(tmp_path, monkeypatch, capsys):
     _refuse_work(monkeypatch)
+    config = tmp_path / "run.conf"
+    config.write_text("n_values=\n")
     for command in ("verify-convergence", "verify-independence"):
-        for n_values in (",", " , "):
-            assert main([command, "--spec", 'g="a1"', "--n-values", n_values]) == 2
+        for extra in (["--n-values", ","], ["--n-values", " , "], ["--config", str(config)]):
+            assert main([command, "--spec", 'g="a1"', *extra]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == "error: n_values names no n\n"
 
