@@ -2,7 +2,8 @@
 
 Three access modes, all exact:
 
-* full enumeration through commutator buckets (small n),
+* full enumeration through commutator buckets (small n), and exact means
+  over one a1 per conjugacy class, weighted by the class size,
 * exactly uniform sampling driven by character-sum class weights (moderate n),
 * Monte Carlo estimation over the sampler with reproducible seeded streams.
 
@@ -156,16 +157,21 @@ class CommutatorBuckets(dict):
         return sum(map(len, self.values()))
 
 
-@functools.cache
-def get_buckets(n: int) -> CommutatorBuckets:
-    """Every pair of S_n, bucketed by commutator, built once per n;
-    n > PAIR_MATERIALIZE_LIMIT raises ValueError."""
+def check_bucket_size(n: int) -> None:
+    """Raise ValueError unless get_buckets(n) can be built."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > PAIR_MATERIALIZE_LIMIT:
         raise ValueError(
             f"buckets support n <= {PAIR_MATERIALIZE_LIMIT}; use the sampler beyond that"
         )
+
+
+@functools.cache
+def get_buckets(n: int) -> CommutatorBuckets:
+    """Every pair of S_n, bucketed by commutator, built once per n;
+    n > PAIR_MATERIALIZE_LIMIT raises ValueError."""
+    check_bucket_size(n)
     perms = list(itertools.permutations(range(n)))
     buckets: dict[Permutation, list] = {}
     for a in perms:
@@ -174,14 +180,33 @@ def get_buckets(n: int) -> CommutatorBuckets:
     return CommutatorBuckets(sorted(buckets.items()))
 
 
-def _walk(n: int, genus: int):
-    """Images of every point in enumeration order: commutator values in
-    bucket-key order, block by block. The last block is fixed by the product
+@functools.cache
+def _class_weights(n: int) -> dict[Permutation, int]:
+    """|K_mu| keyed by the class representative a_mu, for every class of S_n."""
+    table = get_table(n)
+    return dict(zip(map(_class_representative, table.partitions), table.class_sizes))
+
+
+@functools.cache
+def _representative_buckets(n: int) -> CommutatorBuckets:
+    """The pairs of get_buckets(n) whose a is a class representative, in the
+    same key and pair order."""
+    weights = _class_weights(n)
+    kept = (
+        (sigma, [p for p in pairs if p[0] in weights]) for sigma, pairs in get_buckets(n).items()
+    )
+    return CommutatorBuckets((sigma, pairs) for sigma, pairs in kept if pairs)
+
+
+def _walk(n: int, genus: int, first: dict):
+    """Images of every point whose first block is a pair of `first`, in
+    enumeration order: commutator values in key order, block by block. Later
+    blocks draw from every pair of S_n. The last block is fixed by the product
     before it, so its bucket is looked up once per value of the block before."""
     buckets = get_buckets(n)
 
-    def blocks(prefix: Permutation, blocks_left: int, images: tuple):
-        for sigma, pairs in buckets.items():
+    def blocks(source: dict, prefix: Permutation, blocks_left: int, images: tuple):
+        for sigma, pairs in source.items():
             nxt = compose(prefix, sigma)
             if blocks_left == 2:
                 tail = buckets.get(inverse(nxt), ())
@@ -190,38 +215,58 @@ def _walk(n: int, genus: int):
                         yield images + (a, b, c, d)
             else:
                 for a, b in pairs:
-                    yield from blocks(nxt, blocks_left - 1, images + (a, b))
+                    yield from blocks(buckets, nxt, blocks_left - 1, images + (a, b))
 
-    return blocks(identity(n), genus, ())
+    return blocks(first, identity(n), genus, ())
 
 
-def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VISITS) -> int:
-    """Visit every homomorphism point exactly once; returns the visit count."""
+def _visit_walk(n: int, genus: int, first, weight, visit, max_visits: int) -> int:
+    """Call visit(weight(a1), point) on every point of _walk(n, genus,
+    first(n)); returns the weight total. A walk is refused when Hom(Gamma, S_n)
+    has more than max_visits points, before first(n) is built, and the weights
+    must sum to that point count."""
     expected = hom_count(n, genus)
     if expected > max_visits:
         raise BudgetExceededError(
             f"enumeration needs {expected} visits, budget is {max_visits}"
         )
-    count = 0
-    for images in _walk(n, genus):
-        visitor(HomPoint(images, genus, n))
-        count += 1
-    if count != expected:
+    total = 0
+    for images in _walk(n, genus, first(n)):
+        w = weight(images[0])
+        visit(w, HomPoint(images, genus, n))
+        total += w
+    if total != expected:
         raise AssertionError("enumeration count disagrees with the character count")
-    return count
+    return total
+
+
+def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VISITS) -> int:
+    """Visit every homomorphism point exactly once; returns the visit count."""
+    return _visit_walk(n, genus, get_buckets, lambda a: 1, lambda w, h: visitor(h), max_visits)
 
 
 def exact_means(
-    n: int, genus: int, evaluators: dict, max_visits: int = DEFAULT_MAX_VISITS
+    n: int, genus: int, specs: dict, max_visits: int = DEFAULT_MAX_VISITS
 ) -> dict[str, Fraction]:
-    """Exact rational mean of each named observable, from one enumeration."""
-    totals = dict.fromkeys(evaluators, 0)
+    """Exact rational mean of each named spec's joint moment, from one walk.
 
-    def add(h: HomPoint) -> None:
-        for name, fn in evaluators.items():
-            totals[name] += fn(h)
+    The walk visits only the points whose a1 is a class representative a_mu,
+    each weighted by |K_mu|. That is exact: a joint moment depends only on the
+    cycle types of word images, so it does not change when all 2g images are
+    conjugated by one t, and conjugation by t maps {phi : phi(a1) = a_mu}
+    one-to-one onto {phi : phi(a1) = t^-1 a_mu t}. Hence the sum over every
+    point is sum_mu |K_mu| * sum over phi(a1) = a_mu; the weights sum to the
+    point count, or the walk raises AssertionError. The visit budget counts
+    every point of Hom(Gamma, S_n), not the visited ones.
+    """
+    totals = dict.fromkeys(specs, 0)
 
-    points = enumerate_homs(n, genus, add, max_visits)  # fills totals; read them after
+    def add(weight: int, h: HomPoint) -> None:
+        for name, spec in specs.items():
+            totals[name] += weight * joint_moment(h, spec)
+
+    weight = _class_weights(n).__getitem__
+    points = _visit_walk(n, genus, _representative_buckets, weight, add, max_visits)
     return {name: Fraction(total, points) for name, total in totals.items()}
 
 
@@ -231,7 +276,7 @@ def exact_expectation(
     """Exact rational mean of the spec's joint observable over every point."""
     if spec.genus != genus:
         raise ValueError("spec genus differs from requested genus")
-    return exact_means(n, genus, {"joint": lambda h: joint_moment(h, spec)}, max_visits)["joint"]
+    return exact_means(n, genus, {"joint": spec}, max_visits)["joint"]
 
 
 def generator_fix_expectation(n: int, genus: int) -> Fraction:

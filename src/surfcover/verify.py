@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 from .homspace import (
     DEFAULT_MAX_VISITS,
+    PAIR_MATERIALIZE_LIMIT,
+    check_bucket_size,
     exact_means,
     get_sampler,
     hom_count,
@@ -43,6 +46,10 @@ class ExperimentPlan:
             raise ValueError("n values must be strictly increasing")
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
+        # an enumerated row past the bucket limit fails; refuse it before any row runs
+        for n in self.n_values:
+            if n > PAIR_MATERIALIZE_LIMIT and self.method_for(n) == ENUMERATE:
+                check_bucket_size(n)
 
     def method_for(self, n: int) -> str:
         return ENUMERATE if hom_count(n, self.spec.genus) <= self.budget_visits else SAMPLE
@@ -71,27 +78,28 @@ class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
 
 
-def _group_observables(spec: ObservableSpec):
-    """Callables for the joint observable and each single-group observable."""
-    evaluators = {"joint": lambda h: joint_moment(h, spec)}
+def _group_specs(spec: ObservableSpec) -> dict[str, ObservableSpec]:
+    """The joint spec and each single-group spec, by name."""
+    specs = {"joint": spec}
     for i, sub in enumerate(spec.single_group_specs()):
-        evaluators[f"group{i}"] = (lambda s: lambda h: joint_moment(h, s))(sub)
-    return evaluators
+        specs[f"group{i}"] = sub
+    return specs
 
 
 def _row(n: int, plan: ExperimentPlan, prediction: Fraction) -> ConvergenceRow:
     """The joint mean and the product of the group means at n, exact from one
     enumeration within the visit budget and sampled from one stream beyond it."""
     spec = plan.spec
-    evaluators = _group_observables(spec)
+    specs = _group_specs(spec)
     names = [f"group{i}" for i in range(len(spec.groups))]
     method = plan.method_for(n)
     if method == ENUMERATE:
-        means = exact_means(n, spec.genus, evaluators, plan.budget_visits)
+        means = exact_means(n, spec.genus, specs, plan.budget_visits)
         joint, stderr, gap_stderr = means["joint"], None, None
         product = prod((means[name] for name in names), start=Fraction(1))
         gap = joint - product
     else:
+        evaluators = {name: partial(joint_moment, spec=s) for name, s in specs.items()}
         stats = run_sampled_stats(get_sampler(n, spec.genus), evaluators, plan.samples, plan.seed)
         joint, stderr = stats.mean("joint"), stats.stderr("joint")
         gap, product, gap_stderr = stats.gap("joint", names)

@@ -530,3 +530,13 @@ def test_readme_shows_only_flags_its_commands_take():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_enumerated_row_past_the_bucket_limit_exits_before_any_row(monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    argv = ["verify-convergence", "--spec", 'g="a1"', "--n-values", "5,7",
+            "--budget-visits", str(10**12)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: buckets support n <= 6; use the sampler beyond that\n"

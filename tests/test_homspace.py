@@ -9,14 +9,17 @@ import pytest
 import surfcover
 from surfcover import acceptance
 from surfcover import characters
-from surfcover.characters import commutator_count, factorization_count, hom_count
+from surfcover import homspace
+from surfcover.characters import class_size, commutator_count, factorization_count, hom_count
 from surfcover.homspace import (
     PAIR_MATERIALIZE_LIMIT,
     BudgetExceededError,
     Seed,
+    _class_representative,
     _sample_commutator_fiber,
     enumerate_homs,
     exact_expectation,
+    exact_means,
     generator_fix_expectation,
     generator_spec_expectation,
     get_buckets,
@@ -197,6 +200,70 @@ def test_generator_fix_expectation_matches_enumeration():
     for n in (2, 3, 4):
         assert generator_fix_expectation(n, 2) == exact_expectation(n, 2, spec)
     assert generator_fix_expectation(2, 3) == exact_expectation(2, 3, f_spec("a1", 3))
+
+
+def reduced_walk_specs(genus):
+    """Multi-handle words, inverse letters, several exponents and powers > 1."""
+    last = f"b{genus}"
+    return {
+        "a1": f_spec("a1", genus),
+        "inverse": f_spec("b1' a2'", genus),
+        "power": spec_of(ObservableGroup(w(f"a1 {last}' a2", genus), (1, 2), 2), genus=genus),
+        "joint": spec_of(
+            ObservableGroup(w("a1' b2", genus), (2, 3)),
+            ObservableGroup(w(f"b1 {last}", genus), (1, 4, 6), 3),
+            ObservableGroup(w("a2", genus), (2,)),
+            genus=genus,
+        ),
+    }
+
+
+@pytest.mark.parametrize("n, genus", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_exact_means_equal_the_full_enumeration_average(n, genus):
+    specs = reduced_walk_specs(genus)
+    totals = Counter()
+
+    def visit(h):
+        for name, spec in specs.items():
+            totals[name] += joint_moment(h, spec)
+
+    points = enumerate_homs(n, genus, visit)
+    expected = {name: Fraction(totals[name], points) for name in specs}
+    assert exact_means(n, genus, specs) == expected
+
+
+@pytest.mark.parametrize(
+    "n, genus, visits", [(3, 2, 261), (4, 2, 8592), (2, 3, 64), (3, 3, 8181)]
+)
+def test_exact_means_walk_one_a1_per_class(monkeypatch, n, genus, visits):
+    firsts = []
+    walk = homspace._walk
+
+    def counted(*args):
+        for images in walk(*args):
+            firsts.append(images[0])
+            yield images
+
+    monkeypatch.setattr(homspace, "_walk", counted)
+    exact_means(n, genus, {"a1": f_spec("a1", genus)})
+    assert len(firsts) == visits
+    assert all(a == _class_representative(cycle_type(a)) for a in firsts)
+    assert sum(class_size(cycle_type(a)) for a in firsts) == hom_count(n, genus)
+
+
+@pytest.mark.parametrize("n, genus", [(3, 2), (4, 2), (3, 3)])
+def test_exact_means_budget_counts_every_point(n, genus):
+    specs = {"a1": f_spec("a1", genus)}
+    points = hom_count(n, genus)
+    with pytest.raises(BudgetExceededError):
+        exact_means(n, genus, specs, max_visits=points - 1)
+    assert exact_means(n, genus, specs, max_visits=points) == exact_means(n, genus, specs)
+
+
+def test_exact_expectation_n5_reference():
+    expected = Fraction(4438, 4019)
+    assert generator_fix_expectation(5, 2) == expected
+    assert exact_expectation(5, 2, f_spec("a1")) == expected
 
 
 def joint15_spec(first, genus):

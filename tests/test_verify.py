@@ -129,13 +129,13 @@ def test_negative_control_gap_exact_small_n():
 
 def test_exact_row_walks_the_space_once(monkeypatch):
     walks = []
-    enumerate_homs = homspace.enumerate_homs
+    walk = homspace._walk
 
-    def counted(n, genus, visitor, max_visits):
+    def counted(n, genus, first):
         walks.append(n)
-        return enumerate_homs(n, genus, visitor, max_visits)
+        return walk(n, genus, first)
 
-    monkeypatch.setattr(homspace, "enumerate_homs", counted)
+    monkeypatch.setattr(homspace, "_walk", counted)
     spec = spec_of(ObservableGroup(w("a1"), (1, 2)), ObservableGroup(w("a2"), (1,)))
     report = run_convergence(ExperimentPlan(spec, (2, 3)))
     assert [row.method for row in report.rows] == [ENUMERATE, ENUMERATE]
