@@ -282,6 +282,18 @@ def test_generator_spec_expectation_matches_enumeration(genus, max_n, first):
         assert generator_spec_expectation(n, genus, spec) == exact_expectation(n, genus, spec)
 
 
+@pytest.mark.parametrize("first", ["a1", "b1"])
+def test_exact_expectation_n5_joint15_reference(first):
+    spec = joint15_spec(first, 2)
+    assert exact_expectation(5, 2, spec) == generator_spec_expectation(5, 2, spec)
+
+
+def test_exact_expectation_n5_cross_handle_reference():
+    # Recorded from the walk over one a1 per class, before b1 was reduced.
+    spec = spec_of(ObservableGroup(w("a1 b2"), (2, 3)), ObservableGroup(w("b1 a2'"), (4,)))
+    assert exact_expectation(5, 2, spec) == Fraction(521295, 32152)
+
+
 def test_generator_spec_expectation_one_group_is_generator_fix_expectation():
     for n in range(1, 17):
         assert generator_spec_expectation(n, 2, f_spec("a1")) == generator_fix_expectation(n, 2)
