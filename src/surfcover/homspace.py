@@ -3,7 +3,8 @@
 Three access modes, all exact:
 
 * full enumeration through commutator buckets (small n), and exact means
-  over one a1 per conjugacy class, weighted by the class size,
+  over one first pair (a1, b1) per orbit of simultaneous conjugation,
+  weighted by its orbit size,
 * exactly uniform sampling driven by character-sum class weights (moderate n),
 * Monte Carlo estimation over the sampler with reproducible seeded streams.
 
@@ -56,7 +57,6 @@ from .perms import (
     cycle_type,
     cycles,
     fix_count,
-    identity,
     inverse,
 )
 
@@ -147,14 +147,21 @@ def uniform_conjugator(p: Permutation, q: Permutation, rng: random.Random) -> Pe
 
 
 class CommutatorBuckets(dict):
-    """Every pair (a, b) of S_n, keyed by its commutator in sorted key order;
-    each list holds its pairs in lexicographic order. Every pair is stored as
-    a tuple, so n is at most PAIR_MATERIALIZE_LIMIT = 6: at n = 7 the 2.5e7
-    pairs would take gigabytes, for a walk over at least 2.7e11 points that
-    no visit budget admits."""
+    """Pairs (a, b) of S_n keyed by their commutator, in sorted key order, each
+    list in lexicographic order, and the weight of each pair: `get_buckets`
+    holds every pair at weight 1, `_orbit_buckets` one pair per orbit of
+    simultaneous conjugation with its weight in `weights`. Every pair is
+    stored as a tuple, so n is at most PAIR_MATERIALIZE_LIMIT = 6: at n = 7
+    the 2.5e7 pairs would take gigabytes, for a walk over at least 2.7e11
+    points that no visit budget admits."""
+
+    weights: dict | None = None
 
     def total_pairs(self) -> int:
         return sum(map(len, self.values()))
+
+    def weight(self, pair) -> int:
+        return 1 if self.weights is None else self.weights[pair]
 
 
 def check_bucket_size(n: int) -> None:
@@ -181,32 +188,48 @@ def get_buckets(n: int) -> CommutatorBuckets:
 
 
 @functools.cache
-def _class_weights(n: int) -> dict[Permutation, int]:
-    """|K_mu| keyed by the class representative a_mu, for every class of S_n."""
+def _orbit_buckets(n: int) -> CommutatorBuckets:
+    """One pair (a_mu, b) per orbit of C(a_mu) acting on b by conjugation, for
+    every class mu, weighted by |K_mu| * |orbit|: the size of the pair's orbit
+    under simultaneous conjugation by S_n. Each b is the first of its orbit in
+    lexicographic order, found by marking orbits. By Burnside there are
+    sum_mu |C(a_mu)| pairs, and the weights of the pairs of one a_mu sum to
+    |K_mu| * n!."""
+    check_bucket_size(n)
     table = get_table(n)
-    return dict(zip(map(_class_representative, table.partitions), table.class_sizes))
+    perms = list(itertools.permutations(range(n)))
+    buckets: dict[Permutation, list] = {}
+    weights = {}
+    for mu, size in zip(table.partitions, table.class_sizes):
+        a = _class_representative(mu)
+        centralizer = [t for t in perms if conjugate(a, t) == a]
+        seen: set[Permutation] = set()
+        for b in perms:
+            if b not in seen:
+                orbit = {conjugate(b, t) for t in centralizer}
+                seen |= orbit
+                buckets.setdefault(commutator(a, b), []).append((a, b))
+                weights[a, b] = size * len(orbit)
+    out = CommutatorBuckets((sigma, sorted(pairs)) for sigma, pairs in sorted(buckets.items()))
+    out.weights = weights
+    return out
 
 
-@functools.cache
-def _representative_buckets(n: int) -> CommutatorBuckets:
-    """The pairs of get_buckets(n) whose a is a class representative, in the
-    same key and pair order."""
-    weights = _class_weights(n)
-    kept = (
-        (sigma, [p for p in pairs if p[0] in weights]) for sigma, pairs in get_buckets(n).items()
-    )
-    return CommutatorBuckets((sigma, pairs) for sigma, pairs in kept if pairs)
-
-
-def _walk(n: int, genus: int, first: dict):
-    """Images of every point whose first block is a pair of `first`, in
-    enumeration order: commutator values in key order, block by block. Later
-    blocks draw from every pair of S_n. The last block is fixed by the product
-    before it, so its bucket is looked up once per value of the block before."""
+def _walk(n: int, genus: int, first: CommutatorBuckets):
+    """(weight, images) of every point whose first block is a pair of `first`,
+    in enumeration order: commutator values in key order, block by block, the
+    weight being the first pair's, read once per pair. Later blocks draw from
+    every pair of S_n. The last block is fixed by the product before it, so
+    its bucket is looked up once per value of the block before, or once per
+    first pair at genus 2."""
     buckets = get_buckets(n)
 
-    def blocks(source: dict, prefix: Permutation, blocks_left: int, images: tuple):
-        for sigma, pairs in source.items():
+    def blocks(prefix: Permutation, blocks_left: int, images: tuple):
+        if blocks_left == 1:
+            for pair in buckets.get(inverse(prefix), ()):
+                yield images + pair
+            return
+        for sigma, pairs in buckets.items():
             nxt = compose(prefix, sigma)
             if blocks_left == 2:
                 tail = buckets.get(inverse(nxt), ())
@@ -215,26 +238,29 @@ def _walk(n: int, genus: int, first: dict):
                         yield images + (a, b, c, d)
             else:
                 for a, b in pairs:
-                    yield from blocks(buckets, nxt, blocks_left - 1, images + (a, b))
+                    yield from blocks(nxt, blocks_left - 1, images + (a, b))
 
-    return blocks(first, identity(n), genus, ())
+    for sigma, pairs in first.items():
+        for pair in pairs:
+            weight = first.weight(pair)
+            for images in blocks(sigma, genus - 1, pair):
+                yield weight, images
 
 
-def _visit_walk(n: int, genus: int, first, weight, visit, max_visits: int) -> int:
-    """Call visit(weight(a1), point) on every point of _walk(n, genus,
-    first(n)); returns the weight total. A walk is refused when Hom(Gamma, S_n)
-    has more than max_visits points, before first(n) is built, and the weights
-    must sum to that point count."""
+def _visit_walk(n: int, genus: int, first, visit, max_visits: int) -> int:
+    """Call visit(weight, point) on every point of _walk(n, genus, first(n));
+    returns the weight total. A walk is refused when Hom(Gamma, S_n) has more
+    than max_visits points, before first(n) is built, and the weights must sum
+    to that point count."""
     expected = hom_count(n, genus)
     if expected > max_visits:
         raise BudgetExceededError(
             f"enumeration needs {expected} visits, budget is {max_visits}"
         )
     total = 0
-    for images in _walk(n, genus, first(n)):
-        w = weight(images[0])
-        visit(w, HomPoint(images, genus, n))
-        total += w
+    for weight, images in _walk(n, genus, first(n)):
+        visit(weight, HomPoint(images, genus, n))
+        total += weight
     if total != expected:
         raise AssertionError("enumeration count disagrees with the character count")
     return total
@@ -242,7 +268,7 @@ def _visit_walk(n: int, genus: int, first, weight, visit, max_visits: int) -> in
 
 def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VISITS) -> int:
     """Visit every homomorphism point exactly once; returns the visit count."""
-    return _visit_walk(n, genus, get_buckets, lambda a: 1, lambda w, h: visitor(h), max_visits)
+    return _visit_walk(n, genus, get_buckets, lambda w, h: visitor(h), max_visits)
 
 
 def exact_means(
@@ -250,23 +276,28 @@ def exact_means(
 ) -> dict[str, Fraction]:
     """Exact rational mean of each named spec's joint moment, from one walk.
 
-    The walk visits only the points whose a1 is a class representative a_mu,
-    each weighted by |K_mu|. That is exact: a joint moment depends only on the
-    cycle types of word images, so it does not change when all 2g images are
-    conjugated by one t, and conjugation by t maps {phi : phi(a1) = a_mu}
-    one-to-one onto {phi : phi(a1) = t^-1 a_mu t}. Hence the sum over every
-    point is sum_mu |K_mu| * sum over phi(a1) = a_mu; the weights sum to the
-    point count, or the walk raises AssertionError. The visit budget counts
-    every point of Hom(Gamma, S_n), not the visited ones.
+    The walk visits only the points whose first pair (a1, b1) is a pair of
+    `_orbit_buckets(n)`: a1 a class representative a_mu and b1 one element per
+    orbit of C(a_mu) acting by conjugation, weighted by |K_mu| * |orbit|. That
+    is exact: a joint moment depends only on the cycle types of word images,
+    so it does not change when all 2g images are conjugated by one t.
+    Conjugation by t maps {phi : phi(a1) = a_mu} one-to-one onto
+    {phi : phi(a1) = t^-1 a_mu t}, and for t in C(a_mu) it maps
+    {phi : phi(a1) = a_mu, phi(b1) = b} onto the same set with phi(b1) =
+    t^-1 b t. The weights sum to the point count, or the walk raises
+    AssertionError. A spec of another genus raises ValueError before any
+    work. The visit budget counts every point of Hom(Gamma, S_n), not the
+    visited ones.
     """
+    if any(spec.genus != genus for spec in specs.values()):
+        raise ValueError("spec genus differs from requested genus")
     totals = dict.fromkeys(specs, 0)
 
     def add(weight: int, h: HomPoint) -> None:
         for name, spec in specs.items():
             totals[name] += weight * joint_moment(h, spec)
 
-    weight = _class_weights(n).__getitem__
-    points = _visit_walk(n, genus, _representative_buckets, weight, add, max_visits)
+    points = _visit_walk(n, genus, _orbit_buckets, add, max_visits)
     return {name: Fraction(total, points) for name, total in totals.items()}
 
 
@@ -274,8 +305,6 @@ def exact_expectation(
     n: int, genus: int, spec: ObservableSpec, max_visits: int = DEFAULT_MAX_VISITS
 ) -> Fraction:
     """Exact rational mean of the spec's joint observable over every point."""
-    if spec.genus != genus:
-        raise ValueError("spec genus differs from requested genus")
     return exact_means(n, genus, {"joint": spec}, max_visits)["joint"]
 
 

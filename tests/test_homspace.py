@@ -3,6 +3,7 @@ import itertools
 import time
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -232,23 +233,62 @@ def test_exact_means_equal_the_full_enumeration_average(n, genus):
     assert exact_means(n, genus, specs) == expected
 
 
+def _centralizer(a):
+    return [t for t in itertools.permutations(range(len(a))) if conjugate(a, t) == a]
+
+
 @pytest.mark.parametrize(
-    "n, genus, visits", [(3, 2, 261), (4, 2, 8592), (2, 3, 64), (3, 3, 8181)]
+    "n, genus, visits",
+    [(3, 2, 171), (4, 2, 3512), (5, 2, 61288), (2, 3, 64), (3, 3, 5103)],
 )
 def test_exact_means_walk_one_a1_per_class(monkeypatch, n, genus, visits):
     firsts = []
     walk = homspace._walk
 
     def counted(*args):
-        for images in walk(*args):
-            firsts.append(images[0])
-            yield images
+        for weight, images in walk(*args):
+            firsts.append((weight, images[:2]))
+            yield weight, images
 
     monkeypatch.setattr(homspace, "_walk", counted)
     exact_means(n, genus, {"a1": f_spec("a1", genus)})
     assert len(firsts) == visits
-    assert all(a == _class_representative(cycle_type(a)) for a in firsts)
-    assert sum(class_size(cycle_type(a)) for a in firsts) == hom_count(n, genus)
+    assert all(a == _class_representative(cycle_type(a)) for _, (a, _) in firsts)
+    for weight, (a, b) in set(firsts):
+        orbit = {conjugate(b, t) for t in _centralizer(a)}
+        assert b == min(orbit)
+        assert weight == class_size(cycle_type(a)) * len(orbit)
+    assert sum(weight for weight, _ in firsts) == hom_count(n, genus)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_buckets_hold_one_pair_per_orbit(n):
+    source = homspace._orbit_buckets(n)
+    table = characters.get_table(n)
+    # Burnside: the orbits of S_n on pairs under simultaneous conjugation
+    assert source.total_pairs() == sum(table.centralizer_sizes)
+    by_a = Counter()
+    for sigma, pairs in source.items():
+        for a, b in pairs:
+            assert commutator(a, b) == sigma
+            by_a[a] += source.weight((a, b))
+    assert by_a == {
+        _class_representative(mu): size * factorial(n)
+        for mu, size in zip(table.partitions, table.class_sizes)
+    }
+
+
+def test_exact_means_refuse_a_spec_of_another_genus_up_front(monkeypatch):
+    def fail(*args):
+        raise AssertionError("work started before the genus check")
+
+    for name in ("hom_count", "get_buckets", "_orbit_buckets"):
+        monkeypatch.setattr(homspace, name, fail)
+    for n in (4, 6):
+        with pytest.raises(ValueError, match="genus"):
+            exact_means(n, 3, {"a1": f_spec("a1", 3), "x": f_spec("a1")})
+        with pytest.raises(ValueError, match="genus"):
+            exact_expectation(n, 3, f_spec("a1"))
 
 
 @pytest.mark.parametrize("n, genus", [(3, 2), (4, 2), (3, 3)])
