@@ -15,10 +15,14 @@ from surfcover.limits import (
     poisson_moment,
     stirling2,
 )
-from surfcover.observables import ObservableGroup, ObservableSpec, d_count
+from surfcover.observables import ObservableGroup, ObservableSpec, d_count, spec_from_text
 from surfcover.words import word_from_text
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+
+# three groups: the heavy a1 group alone has limit moment 3169875308 and each
+# [12] pow=2 group 64 (both by a cumulant recursion), so the moment is 3169875308 * 64**2
+THREE_GROUPS = 'a="a1" exps=[2,3,4,6] pow=3; b="a2" exps=[12] pow=2; c="b1" exps=[12] pow=2'
 
 
 def w(text):
@@ -102,6 +106,11 @@ def test_mean_shadow_of_expansion():
             for a in g.exponents:
                 expected *= d_count(a) ** g.power
         assert shadow == expected
+
+
+def test_three_group_moment_pinned():
+    spec = spec_from_text(THREE_GROUPS, 2)
+    assert limit_product_moment(spec).value == 12983809261568 == 3169875308 * 64**2
 
 
 def test_limit_cycle_moment():
