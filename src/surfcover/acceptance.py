@@ -512,7 +512,7 @@ def run_all(only=None, samples: int = 100_000, seed: int = 0, echo=None):
     """Run the requested criteria, printing one pass/fail line per criterion."""
     ctx = AcceptanceContext(samples=samples, seed=seed)
     results = []
-    for number in sorted(only or CRITERIA):
+    for number in sorted(set(only or CRITERIA)):
         result = run_criterion(number, ctx)
         results.append(result)
         if echo is not None:

@@ -319,8 +319,12 @@ def handle_product_means(n: int, genus: int, terms) -> list[Fraction]:
     #{phi : phi(x_i) in K_i for all i}
         = n!^(2g-1-m) * prod |K_i| * sum_lam d_lam^(2-2g) * prod chi_lam(K_i)^2,
     so a mean needs per-irreducible sums sum_K |K| chi_lam(K)^2 f(K), made in
-    O(p(n)^2) once per distinct class function and with no enumeration.
+    O(p(n)^2) once per distinct class function and with no enumeration. A
+    term of more functions than there are handles raises ValueError.
     """
+    terms = list(terms)
+    if any(len(term) > genus for term in terms):
+        raise ValueError(f"a term has more class functions than the {genus} handles")
     table = get_table(n).freeze()
 
     @functools.cache

@@ -154,12 +154,18 @@ def test_verify_cycles_command():
     assert len(payload["covariances"]) == 4
 
 
-def test_selftest_subset():
+def test_selftest_subset(capsys):
     out, code = run_cli(["selftest", "--only", "5"])
     payload = json.loads(out)
     assert code == 0
     assert payload["criteria"][0]["number"] == 5
     assert payload["criteria"][0]["passed"] is True
+    # a criterion named twice runs once: one line, one report entry
+    capsys.readouterr()
+    assert main(["selftest", "--only", "5,5"]) == 0
+    captured = capsys.readouterr()
+    assert [c["number"] for c in json.loads(captured.out)["criteria"]] == [5]
+    assert captured.err.count("[PASS]") == 1
 
 
 def test_config_file_and_override(tmp_path):
@@ -530,6 +536,18 @@ def test_readme_shows_only_flags_its_commands_take():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_oversized_limit_expansion_exits_before_any_row(monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    spec = 'g="a1" exps=[5040,5040] pow=3'
+    for argv in (["predict", "--spec", spec],
+                 ["verify-convergence", "--spec", spec, "--n-values", "3,4"],
+                 ["verify-independence", "--spec", f'{spec}; d="a2"', "--n-values", "3,4"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a group's limit expansion would pass 1000000 terms\n"
 
 
 def test_enumerated_row_past_the_bucket_limit_exits_before_any_row(monkeypatch, capsys):

@@ -356,6 +356,21 @@ def test_handle_product_means_fixed_points_are_generator_fix_expectation():
         assert handle_product_means(n, 2, [(fixed,)]) == [generator_fix_expectation(n, 2)]
 
 
+def test_handle_product_means_refuses_more_functions_than_handles(monkeypatch):
+    def fixed(kappa):
+        return Counter(kappa)[1]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("table work ran")
+
+    # three generators on distinct handles need genus 3; the refusal comes first
+    monkeypatch.setattr(homspace, "get_table", fail)
+    with pytest.raises(ValueError, match="more class functions"):
+        handle_product_means(4, 2, [(fixed,), (fixed, fixed, fixed)])
+    monkeypatch.undo()
+    assert handle_product_means(4, 3, [(fixed, fixed, fixed)])[0] > 0
+
+
 def test_exact_cycle_moments_match_enumeration():
     # E[C_d(a1)], E[C_d(a2)] and E[C_d1(a1) C_d2(a2)] summed over every point
     sums = Counter()

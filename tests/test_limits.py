@@ -1,11 +1,14 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
+from surfcover import limits
+from surfcover.characters import BudgetExceededError
 from surfcover.limits import (
     bell_number,
     distinctness_warnings,
@@ -15,7 +18,13 @@ from surfcover.limits import (
     poisson_moment,
     stirling2,
 )
-from surfcover.observables import ObservableGroup, ObservableSpec, d_count, spec_from_text
+from surfcover.observables import (
+    ObservableGroup,
+    ObservableSpec,
+    d_count,
+    divisors,
+    spec_from_text,
+)
 from surfcover.words import word_from_text
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -23,6 +32,7 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 # three groups: the heavy a1 group alone has limit moment 3169875308 and each
 # [12] pow=2 group 64 (both by a cumulant recursion), so the moment is 3169875308 * 64**2
 THREE_GROUPS = 'a="a1" exps=[2,3,4,6] pow=3; b="a2" exps=[12] pow=2; c="b1" exps=[12] pow=2'
+FOUR_GROUPS = THREE_GROUPS + '; d="b2" exps=[12] pow=2'
 
 
 def w(text):
@@ -113,6 +123,68 @@ def test_mean_shadow_of_expansion():
 def test_three_group_moment_pinned():
     spec = spec_from_text(THREE_GROUPS, 2)
     assert limit_product_moment(spec).value == 12983809261568 == 3169875308 * 64**2
+
+
+def test_four_group_moment_pinned():
+    spec = spec_from_text(FOUR_GROUPS, 2)
+    assert limit_product_moment(spec).value == 830963792740352 == 3169875308 * 64**3
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1:]]
+
+
+def cumulant_reference(g):
+    # X_a = sum over k | a of k P_k with independent P_k ~ Poisson(1/k), so the
+    # joint cumulant of X_{a_1}, ..., X_{a_r} is sigma_{r-1}(gcd); moments
+    # are sums over set partitions of products of cumulants
+    factors = list(g.exponents) * g.power
+    return sum(
+        prod(sum(k ** (len(block) - 1) for k in divisors(gcd(*block))) for block in part)
+        for part in set_partitions(factors)
+    )
+
+
+def test_limit_matches_moment_cumulant_reference():
+    rng = random.Random(23)
+    words = ["a1", "a2", "b1"]
+    for _ in range(120):
+        groups = []
+        for i in range(rng.randrange(1, 4)):
+            exps = [rng.randrange(1, 13) for _ in range(rng.randrange(1, 4))]
+            groups.append(group(words[i], exps, rng.randrange(1, 7 // len(exps) + 1)))
+        spec = spec_of(*groups)
+        references = [cumulant_reference(g) for g in spec.groups]
+        assert [limit_product_moment(s).value for s in spec.single_group_specs()] == references
+        assert limit_product_moment(spec).value == prod(references)
+
+
+def test_oversized_group_expansion_is_refused_up_front():
+    # the fourth factor would form 37 820 * 60 products; the parent of this
+    # check ran out of memory there
+    spec = spec_from_text('g="a1" exps=[5040,5040] pow=3', 2)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        limit_product_moment(spec)
+    assert time.monotonic() - start < 5
+
+
+def test_heavy_group_expansion_peaks_at_1528_products(monkeypatch):
+    heavy = spec_from_text('a="a1" exps=[2,3,4,6] pow=3; b="a2" exps=[12] pow=2', 2)
+    value = limit_product_moment(heavy).value
+    assert value == 3169875308 * 64
+    monkeypatch.setattr(limits, "MAX_GROUP_TERMS", 382 * 4)
+    assert limit_product_moment(heavy).value == value
+    monkeypatch.setattr(limits, "MAX_GROUP_TERMS", 382 * 4 - 1)
+    with pytest.raises(BudgetExceededError):
+        limit_product_moment(heavy)
 
 
 def test_limit_cycle_moment():
