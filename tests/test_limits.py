@@ -167,8 +167,8 @@ def test_limit_matches_moment_cumulant_reference():
 
 
 def test_oversized_group_expansion_is_refused_up_front():
-    # the fourth factor would form 37 820 * 60 products; the parent of this
-    # check ran out of memory there
+    # the fourth factor would form 37 820 * 60 products and keep 595 665
+    # monomials; the whole expansion would run out of memory
     spec = spec_from_text('g="a1" exps=[5040,5040] pow=3', 2)
     start = time.monotonic()
     with pytest.raises(BudgetExceededError):
