@@ -12,6 +12,7 @@ from surfcover.characters import (
     MAX_TABLE_ENTRIES,
     BudgetExceededError,
     CharacterTable,
+    _additions,
     centralizer_size,
     class_size,
     commutator_count,
@@ -361,6 +362,57 @@ def test_table_edge_cases():
     assert t.chi((2, 1), (1, 1, 1)) == 2
 
 
+def test_malformed_shapes_raise_value_error():
+    t = get_table(4)
+    for call in (
+        lambda: t.chi((1, 3), (4,)),
+        lambda: t.chi((2, 2), (3, 1, 0)),
+        lambda: t.row((3, 2)),
+        lambda: t.column((1, 3)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert t.chi((3, 1), (1, 3)) == t.chi((3, 1), (3, 1)) == 0
+
+
+def skew_strip_sign(lam, nu):
+    """(-1)^(rows - 1) if lam / nu is a border strip (connected, no 2x2
+    block), else None; found on the Young diagrams cell by cell."""
+    padded = tuple(nu) + (0,) * (len(lam) - len(nu))
+    if len(nu) > len(lam) or any(a < b for a, b in zip(lam, padded)):
+        return None
+    cells = {(i, j) for i, row in enumerate(lam) for j in range(padded[i], row)}
+    if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells for i, j in cells):
+        return None
+    start = next(iter(cells))
+    seen, todo = {start}, [start]
+    while todo:
+        i, j = todo.pop()
+        for near in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if near in cells and near not in seen:
+                seen.add(near)
+                todo.append(near)
+    if seen != cells:
+        return None
+    return (-1) ** (len({i for i, _ in cells}) - 1)
+
+
+def test_strip_additions_match_young_diagrams():
+    for m in range(1, 11):
+        larger = partitions(m)
+        for k in range(1, m + 1):
+            additions = _additions(m, k)
+            assert len(additions) == len(partitions(m - k))
+            for nu, strips in zip(partitions(m - k), additions):
+                brute = set()
+                for i, lam in enumerate(larger):
+                    sign = skew_strip_sign(lam, nu)
+                    if sign is not None:
+                        brute.add((i, sign))
+                assert len(strips) == len(brute)
+                assert set(strips) == brute, (m, k, nu)
+
+
 def test_freeze_checks_identity_column_against_dimensions():
     t = CharacterTable(4)
     t.dims = t.dims[:-1] + (2,)
@@ -385,6 +437,17 @@ def test_golden_tables(n, digest):
     values = tuple(tuple(t.chi(lam, mu) for lam in parts) for mu in parts)
     assert values == t.matrix
     assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
+
+
+# sha256 of repr(get_table(24).freeze().matrix), recorded with the border-strip
+# removal tables that preceded the bead-mask strip additions; its beta-number
+# masks pass 2^30.
+GOLDEN_TABLE_24 = "4aee4e12ae10c59fa35df3177a16353fb2b8aad7da85c2c506dde5885498e944"
+
+
+def test_golden_table_24():
+    matrix = get_table(24).freeze().matrix
+    assert hashlib.sha256(repr(matrix).encode()).hexdigest() == GOLDEN_TABLE_24
 
 
 def test_column_orthogonality():
