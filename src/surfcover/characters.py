@@ -105,7 +105,7 @@ class BudgetExceededError(RuntimeError):
 
 
 # p(n)^2 entries admitted by freeze(): n = 28 (13,823,524 entries) builds,
-# and a genus-2 plan on it peaks near 780 MB; n = 29 (20,839,225 entries)
+# and a genus-2 plan on it peaks near 270 MB; n = 29 (20,839,225 entries)
 # is refused.
 MAX_TABLE_ENTRIES = 16_000_000
 # Largest n with a table at all: listing the p(n) partitions with their sizes
