@@ -96,6 +96,8 @@ VISIT_ORDER_SHA256 = {
     (4, 2): "ff78990dc00ca377dad3575287c12a1db80a91cfc867058735709fa257fc8481",
     (2, 3): "6a91082599f913101d2750d5dcd129417ab4a5303649ac7810a95c9ad8d7d21a",
     (3, 3): "5312f4c345e2aba0e39a2a5ea984704b7ada9f407cdaf673f0c7bad8b03d9582",
+    (2, 4): "15878c6b401e2e2cceddda53360a38e14647f0f3ab64a82ad6b55428816a2539",
+    (2, 5): "42464096725fe7237e823279ad4cfb2cc53ef81104b9f7b2559137dfd4b53e28",
 }
 
 
@@ -219,7 +221,7 @@ def reduced_walk_specs(genus):
     }
 
 
-@pytest.mark.parametrize("n, genus", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("n, genus", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
 def test_exact_means_equal_the_full_enumeration_average(n, genus):
     specs = reduced_walk_specs(genus)
     totals = Counter()
