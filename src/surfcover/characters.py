@@ -167,12 +167,13 @@ class CharacterTable:
         self.n = n
         self.partitions: tuple[Partition, ...] = tuple(partitions(n))
         self.index = {lam: i for i, lam in enumerate(self.partitions)}
-        self.hook_products = tuple(hook_product(lam) for lam in self.partitions)
-        self.dims = tuple(dim_irrep(lam) for lam in self.partitions)
-        self.class_sizes = tuple(class_size(mu) for mu in self.partitions)
-        self.centralizer_sizes = tuple(
-            centralizer_size(mu) for mu in self.partitions
-        )
+        fact = factorial(n)
+        self.hook_products = tuple(map(hook_product, self.partitions))
+        self.centralizer_sizes = tuple(map(centralizer_size, self.partitions))
+        self.dims = tuple(fact // h for h in self.hook_products)
+        if any(d * h != fact for d, h in zip(self.dims, self.hook_products)):
+            raise ArithmeticError(f"a hook product does not divide {n}!")
+        self.class_sizes = tuple(fact // c for c in self.centralizer_sizes)
         self.matrix: tuple[tuple[int, ...], ...] | None = None
 
     def chi(self, lam: Partition, mu: Partition) -> int:
@@ -268,15 +269,7 @@ def hom_count(n: int, genus: int) -> int:
     if genus < 2:
         raise ValueError("genus must be >= 2")
     table = get_table(n)
-    count = factorial(n) * sum(h ** (2 * genus - 2) for h in table.hook_products)
-    _cross_check_hom_count(n, genus, count)
-    return count
-
-
-def _cross_check_hom_count(n: int, genus: int, count: int) -> None:
-    via_zeta = Fraction(factorial(n)) ** (2 * genus - 1) * witten_zeta(n, 2 * genus - 2)
-    if via_zeta.denominator != 1 or via_zeta.numerator != count:
-        raise ArithmeticError("inconsistent homomorphism count (character bug)")
+    return factorial(n) * sum(h ** (2 * genus - 2) for h in table.hook_products)
 
 
 def commutator_count(n: int, mu: Partition) -> int:

@@ -23,8 +23,8 @@ from . import acceptance
 from .characters import BudgetExceededError, get_table, hom_count, witten_zeta
 from .homspace import (
     DEFAULT_MAX_VISITS,
-    enumerate_homs,
     exact_expectation,
+    exact_means,
     get_sampler,
     run_sampled_stats,
     sample_hom,
@@ -186,7 +186,9 @@ def _hom_count(args):
 
 def _enumerate(args):
     if not args.spec:
-        count = enumerate_homs(args.n, args.g, lambda h: None, max_visits=args.budget_visits)
+        # the orbit walk of exact means checks its weights against the count
+        exact_means(args.n, args.g, {}, max_visits=args.budget_visits)
+        count = hom_count(args.n, args.g)
         return {"n": args.n, "g": args.g, "method": "enumerate", "count": count}, 0
     spec = _parse_spec(args.spec, args.g)
     value = exact_expectation(args.n, args.g, spec, max_visits=args.budget_visits)
@@ -197,9 +199,9 @@ def _enumerate(args):
 
 
 def _sample(args):
+    word = word_from_text(args.word, args.g) if args.word else None
     plan = get_sampler(args.n, args.g)
     rng = stream_for(args.seed)
-    word = word_from_text(args.word, args.g) if args.word else None
     points = []
     for index in range(args.count):
         h = sample_hom(plan, rng)

@@ -43,7 +43,6 @@ from operator import mul
 from .characters import (
     BudgetExceededError,
     CharacterTable,
-    commutator_count,
     get_table,
     hom_count,
 )
@@ -147,21 +146,14 @@ def uniform_conjugator(p: Permutation, q: Permutation, rng: random.Random) -> Pe
 
 
 class CommutatorBuckets(dict):
-    """Pairs (a, b) of S_n keyed by their commutator, in sorted key order, each
-    list in lexicographic order, and the weight of each pair: `get_buckets`
-    holds every pair at weight 1, `_orbit_buckets` one pair per orbit of
-    simultaneous conjugation with its weight in `weights`. Every pair is
-    stored as a tuple, so n is at most PAIR_MATERIALIZE_LIMIT = 6: at n = 7
-    the 2.5e7 pairs would take gigabytes, for a walk over at least 2.7e11
-    points that no visit budget admits."""
-
-    weights: dict | None = None
+    """Every pair (a, b) of S_n keyed by its commutator, in sorted key order,
+    each list in lexicographic order. Every pair is stored as a tuple, so n
+    is at most PAIR_MATERIALIZE_LIMIT = 6: at n = 7 the 2.5e7 pairs would
+    take gigabytes, for a walk over at least 2.7e11 points that no visit
+    budget admits."""
 
     def total_pairs(self) -> int:
         return sum(map(len, self.values()))
-
-    def weight(self, pair) -> int:
-        return 1 if self.weights is None else self.weights[pair]
 
 
 def check_bucket_size(n: int) -> None:
@@ -187,19 +179,25 @@ def get_buckets(n: int) -> CommutatorBuckets:
     return CommutatorBuckets(sorted(buckets.items()))
 
 
+def _every_pair(n: int):
+    """(commutator, (a, b), 1) for every pair of S_n, in get_buckets order."""
+    for sigma, pairs in get_buckets(n).items():
+        for pair in pairs:
+            yield sigma, pair, 1
+
+
 @functools.cache
-def _orbit_buckets(n: int) -> CommutatorBuckets:
-    """One pair (a_mu, b) per orbit of C(a_mu) acting on b by conjugation, for
-    every class mu, weighted by |K_mu| * |orbit|: the size of the pair's orbit
-    under simultaneous conjugation by S_n. Each b is the first of its orbit in
-    lexicographic order, found by marking orbits. By Burnside there are
-    sum_mu |C(a_mu)| pairs, and the weights of the pairs of one a_mu sum to
-    |K_mu| * n!."""
+def _orbit_buckets(n: int) -> tuple:
+    """Sorted (commutator, (a_mu, b), weight) records: one pair per orbit of
+    C(a_mu) acting on b by conjugation, for every class mu, weighted by
+    |K_mu| * |orbit|, the size of the pair's orbit under simultaneous
+    conjugation by S_n. Each b is the first of its orbit in lexicographic
+    order, found by marking orbits. By Burnside there are sum_mu |C(a_mu)|
+    records, and the weights of the records of one a_mu sum to |K_mu| * n!."""
     check_bucket_size(n)
     table = get_table(n)
     perms = list(itertools.permutations(range(n)))
-    buckets: dict[Permutation, list] = {}
-    weights = {}
+    records = []
     for mu, size in zip(table.partitions, table.class_sizes):
         a = _class_representative(mu)
         centralizer = [t for t in perms if conjugate(a, t) == a]
@@ -208,20 +206,16 @@ def _orbit_buckets(n: int) -> CommutatorBuckets:
             if b not in seen:
                 orbit = {conjugate(b, t) for t in centralizer}
                 seen |= orbit
-                buckets.setdefault(commutator(a, b), []).append((a, b))
-                weights[a, b] = size * len(orbit)
-    out = CommutatorBuckets((sigma, sorted(pairs)) for sigma, pairs in sorted(buckets.items()))
-    out.weights = weights
-    return out
+                records.append((commutator(a, b), (a, b), size * len(orbit)))
+    return tuple(sorted(records))
 
 
-def _walk(n: int, genus: int, first: CommutatorBuckets):
-    """(weight, images) of every point whose first block is a pair of `first`,
-    in enumeration order: commutator values in key order, block by block, the
-    weight being the first pair's, read once per pair. Later blocks draw from
-    every pair of S_n. The last block is fixed by the product before it, so
-    its bucket is looked up once per value of the block before, or once per
-    first pair at genus 2."""
+def _walk(n: int, genus: int, first):
+    """(weight, images) of every point whose first block is the pair of a
+    record of `first`, in enumeration order: records in order, then block by
+    block, commutator values in key order, each point carrying its first
+    record's weight. Later blocks draw from every pair of S_n, and the last
+    block, fixed by the product before it, is looked up in its bucket."""
     buckets = get_buckets(n)
 
     def blocks(prefix: Permutation, blocks_left: int, images: tuple):
@@ -231,20 +225,12 @@ def _walk(n: int, genus: int, first: CommutatorBuckets):
             return
         for sigma, pairs in buckets.items():
             nxt = compose(prefix, sigma)
-            if blocks_left == 2:
-                tail = buckets.get(inverse(nxt), ())
-                for a, b in pairs:
-                    for c, d in tail:
-                        yield images + (a, b, c, d)
-            else:
-                for a, b in pairs:
-                    yield from blocks(nxt, blocks_left - 1, images + (a, b))
+            for a, b in pairs:
+                yield from blocks(nxt, blocks_left - 1, images + (a, b))
 
-    for sigma, pairs in first.items():
-        for pair in pairs:
-            weight = first.weight(pair)
-            for images in blocks(sigma, genus - 1, pair):
-                yield weight, images
+    for sigma, pair, weight in first:
+        for images in blocks(sigma, genus - 1, pair):
+            yield weight, images
 
 
 def _visit_walk(n: int, genus: int, first, visit, max_visits: int) -> int:
@@ -268,7 +254,7 @@ def _visit_walk(n: int, genus: int, first, visit, max_visits: int) -> int:
 
 def enumerate_homs(n: int, genus: int, visitor, max_visits: int = DEFAULT_MAX_VISITS) -> int:
     """Visit every homomorphism point exactly once; returns the visit count."""
-    return _visit_walk(n, genus, get_buckets, lambda w, h: visitor(h), max_visits)
+    return _visit_walk(n, genus, _every_pair, lambda w, h: visitor(h), max_visits)
 
 
 def exact_means(
@@ -276,11 +262,12 @@ def exact_means(
 ) -> dict[str, Fraction]:
     """Exact rational mean of each named spec's joint moment, from one walk.
 
-    The walk visits only the points whose first pair (a1, b1) is a pair of
-    `_orbit_buckets(n)`: a1 a class representative a_mu and b1 one element per
-    orbit of C(a_mu) acting by conjugation, weighted by |K_mu| * |orbit|. That
-    is exact: a joint moment depends only on the cycle types of word images,
-    so it does not change when all 2g images are conjugated by one t.
+    The walk visits only the points whose first pair (a1, b1) is the pair of
+    a record of `_orbit_buckets(n)`: a1 a class representative a_mu and b1
+    one element per orbit of C(a_mu) acting by conjugation, weighted by
+    |K_mu| * |orbit|. That is exact: a joint moment depends only on the
+    cycle types of word images, so it does not change when all 2g images
+    are conjugated by one t.
     Conjugation by t maps {phi : phi(a1) = a_mu} one-to-one onto
     {phi : phi(a1) = t^-1 a_mu t}, and for t in C(a_mu) it maps
     {phi : phi(a1) = a_mu, phi(b1) = b} onto the same set with phi(b1) =
@@ -396,17 +383,14 @@ class SamplerPlan:
             self.block_counts[m] = tuple(
                 sum(map(mul, chi_row, powers)) for chi_row in self.chi_matrix
             )
+        if any(c < 0 for counts in self.block_counts.values() for c in counts):
+            raise ArithmeticError("negative block count")
         self.pair_counts = self.block_counts[1]
-        for mu, count in zip(parts, self.pair_counts):
-            if count != commutator_count(n, mu):
-                raise ArithmeticError("inconsistent commutator weights")
         stage = self.block_counts[genus - 1]
         self.first_block_weights = tuple(
             size * stage[i] * self.pair_counts[i]
             for i, size in enumerate(self.table.class_sizes)
         )
-        if any(w < 0 for w in self.first_block_weights):
-            raise ArithmeticError("negative stage weight")
         self.total_weight = sum(self.first_block_weights)
         if self.total_weight != hom_count(n, genus):
             raise ArithmeticError("stage weights do not sum to the point count")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from surfcover import homspace
 from surfcover.cli import _merge_config, build_parser, emit_report, main, read_config, run_command
 
 
@@ -83,6 +84,36 @@ def test_enumerate_command():
     assert payload["value"] == "10/9"
     out, _ = run_cli(["enumerate", "-n", "2", "-g", "2"])
     assert json.loads(out)["count"] == 16
+
+
+def test_count_only_enumerate_walks_the_orbit_source(monkeypatch, capsys):
+    visits = []
+    walk = homspace._walk
+
+    def counted(*args):
+        for weight, images in walk(*args):
+            visits.append(weight)
+            yield weight, images
+
+    monkeypatch.setattr(homspace, "_walk", counted)
+    assert main(["enumerate", "-n", "4", "-g", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 34176
+    assert len(visits) == 3512 and sum(visits) == 34176
+
+
+def test_count_only_enumerate_refuses_before_any_walk(monkeypatch, capsys):
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(homspace, "_walk", no_walk)
+    assert main(["enumerate", "-n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration needs 268020990720 visits, budget is 1000000000\n"
+    assert main(["enumerate", "-n", "7", "--budget-visits", str(10**12)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: buckets support n <= 6; use the sampler beyond that\n"
 
 
 def test_estimate_and_sample_deterministic():
@@ -282,6 +313,13 @@ def test_seed_out_of_range_exits_before_any_work(tmp_path, monkeypatch, capsys):
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err == "error: --seed must be in [0, 2**64)\n"
+
+
+def test_sample_refuses_a_bad_word_before_the_plan(monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    assert main(["sample", "-n", "28", "--word", "a3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: generator 'a3' needs genus >= 3\n"
 
 
 def test_empty_n_values_exits_before_any_row(tmp_path, monkeypatch, capsys):

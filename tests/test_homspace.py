@@ -268,12 +268,12 @@ def test_orbit_buckets_hold_one_pair_per_orbit(n):
     source = homspace._orbit_buckets(n)
     table = characters.get_table(n)
     # Burnside: the orbits of S_n on pairs under simultaneous conjugation
-    assert source.total_pairs() == sum(table.centralizer_sizes)
+    assert len(source) == sum(table.centralizer_sizes)
+    assert list(source) == sorted(source)
     by_a = Counter()
-    for sigma, pairs in source.items():
-        for a, b in pairs:
-            assert commutator(a, b) == sigma
-            by_a[a] += source.weight((a, b))
+    for sigma, (a, b), weight in source:
+        assert commutator(a, b) == sigma
+        by_a[a] += weight
     assert by_a == {
         _class_representative(mu): size * factorial(n)
         for mu, size in zip(table.partitions, table.class_sizes)
