@@ -24,7 +24,11 @@ At genus >= 3 each middle block first draws a class pair: its own class and
 the class of the product after it. The cumulative table for that draw is
 built once per (class of the product so far, blocks left) from integer dot
 products of dense character rows, and its total must equal the plan's block
-count for that class.
+count for that class. The block is then uniform on {u in K_u : r*u in K_s}, r
+the product so far, and is placed by rejection from the smaller of K_u and
+K_s: u -> r*u maps that set one-to-one onto {v in K_s : r^-1*v in K_u}, so a
+uniform v kept iff r^-1*v is in K_u gives the same law, and both sides keep
+the same count, so the smaller class takes fewer expected trials.
 """
 
 from __future__ import annotations
@@ -565,19 +569,26 @@ def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng
 
     The class pair (u, s) is drawn from `plan.mid_draw`, where u is the class
     of the block and s the class of the product after it; the block is then
-    placed by rejection from uniform elements of class u.
+    uniform on A = {u in K_u : partial*u in K_s}. It is placed by rejection
+    from the smaller class, the u side on a tie: uniform u in K_u kept iff
+    partial*u is in K_s, or uniform v in K_s kept iff partial^-1*v is in K_u,
+    returning u = partial^-1*v. Both are exact, since u -> partial*u maps A
+    one-to-one onto the kept v, and both keep |A| = F(u, s, r) elements, so
+    the smaller class takes fewer expected trials, |K| / F.
     """
     parts = plan.table.partitions
     r_class = plan.table.index[cycle_type(partial)]
     cum, pairs = plan.mid_draw(r_class, remaining)
     u_idx, s_idx = divmod(pairs[bisect_right(cum, rng.randrange(cum[-1]))], len(parts))
     mu_u, mu_s = parts[u_idx], parts[s_idx]
-    ones = mu_s.count(1)
+    from_s = plan.table.class_sizes[s_idx] < plan.table.class_sizes[u_idx]
+    base, drawn, kept = (inverse(partial), mu_s, mu_u) if from_s else (partial, mu_u, mu_s)
+    ones = kept.count(1)
     while True:
-        u = uniform_in_class(mu_u, plan.n, rng)
-        moved = compose(partial, u)
-        if fix_count(moved) == ones and cycle_type(moved) == mu_s:
-            return u
+        x = uniform_in_class(drawn, plan.n, rng)
+        moved = compose(base, x)
+        if fix_count(moved) == ones and cycle_type(moved) == kept:
+            return moved if from_s else x
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ GOLDEN_CLI = [
     (
         ["verify-cycles", "-n", "8", "-g", "3", "--seed", "5", "--samples", "2000",
          "--words", "a1,a2,b3"],
-        "ade129f9ce492e39e3ed7116d8e6f37f5a963f3bd77587d2d45d7c8f14dc535d",
+        "8ec27adb106d0720344c8939409744435514476fa38cd3d2946f9ecd08ed0300",
     ),
     (
         ["enumerate", "-n", "4", "-g", "2",

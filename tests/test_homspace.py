@@ -533,6 +533,88 @@ def test_mid_draw_matches_factorization_count_reference(n, genus):
             assert (cum[-1] if cum else 0) == plan.block_counts[remaining + 1][r_class]
 
 
+@pytest.mark.parametrize("genus,remaining", [(3, 1), (4, 2)])
+def test_mid_block_placement_law(monkeypatch, genus, remaining):
+    # P(u | r) = N_1(K_u) N_remaining(K_{r u}) / N_{remaining+1}(K_r) over all of
+    # S_5; 98.32 is the 0.999 point of chi-square with 59 degrees of freedom,
+    # the support being A_5 for every even r.
+    plan = get_sampler(5, genus)
+    sizes, index = plan.table.class_sizes, plan.table.index
+    drawn_from = []
+
+    def recording(mu, n, rng):
+        drawn_from.append(mu)
+        return uniform_in_class(mu, n, rng)
+
+    monkeypatch.setattr(homspace, "uniform_in_class", recording)
+    sides = Counter()
+    perms = list(itertools.permutations(range(5)))
+    for mu in [(1, 1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (5,)]:
+        partial = plan.class_reps[index[mu]]
+        total = plan.block_counts[remaining + 1][index[mu]]
+        law = {}
+        for u in perms:
+            count = (
+                plan.pair_counts[index[cycle_type(u)]]
+                * plan.block_counts[remaining][index[cycle_type(compose(partial, u))]]
+            )
+            if count:
+                law[u] = Fraction(count, total)
+        assert len(law) == 60 and sum(law.values()) == 1
+        rng = stream_for(Seed(26), index[mu], remaining)
+        samples = 10_000
+        counts = Counter()
+        for _ in range(samples):
+            drawn_from.clear()
+            u = homspace._draw_mid_block(plan, partial, remaining, rng)
+            u_class, s_class = cycle_type(u), cycle_type(compose(partial, u))
+            from_s = sizes[index[s_class]] < sizes[index[u_class]]
+            assert set(drawn_from) == {s_class if from_s else u_class}
+            sides[from_s] += 1
+            counts[u] += 1
+        assert set(counts) <= set(law)
+        chi2 = sum((counts[u] - samples * p) ** 2 / (samples * p) for u, p in law.items())
+        assert chi2 < 98.32
+    assert sides[True] > 0 and sides[False] > 0
+
+
+def _expected_mid_block_trials(plan):
+    """Exact expected mid-block trials per point: (u side only, the side
+    _draw_mid_block takes). The first block's class follows
+    first_block_weights and each (u, s) its mid_draw weight; given (u, s) from
+    r, F = weight / (N_1(u) N_remaining(s)) elements are kept, so drawing from
+    class K takes |K| / F expected trials."""
+    p, sizes = len(plan.table.partitions), plan.table.class_sizes
+    law = {r: Fraction(w, plan.total_weight) for r, w in enumerate(plan.first_block_weights) if w}
+    u_side = chosen = Fraction(0)
+    for remaining in range(plan.genus - 2, 0, -1):
+        after = Counter()
+        for r, p_r in law.items():
+            cum, pairs = plan.mid_draw(r, remaining)
+            for low, high, flat in zip([0, *cum], cum, pairs):
+                u, s = divmod(flat, p)
+                kept, rem = divmod(high - low, plan.pair_counts[u] * plan.block_counts[remaining][s])
+                assert rem == 0 and kept > 0
+                trials_u, trials_s = Fraction(sizes[u], kept), Fraction(sizes[s], kept)
+                trials = trials_s if sizes[s] < sizes[u] else trials_u
+                assert trials <= min(trials_u, trials_s)
+                weight = p_r * Fraction(high - low, cum[-1])
+                u_side += weight * trials_u
+                chosen += weight * trials
+                after[s] += weight
+        law = after
+    return u_side, chosen
+
+
+@pytest.mark.parametrize(
+    "n,genus,u_side,chosen", [(8, 3, 14.32, 6.04), (10, 3, 28.12, 9.56), (6, 4, 11.27, 7.04)]
+)
+def test_mid_block_trials_from_the_smaller_class(n, genus, u_side, chosen):
+    # counted work, free of host noise: expected mid-block trials per point
+    expected = _expected_mid_block_trials(get_sampler(n, genus))
+    assert [round(float(x), 2) for x in expected] == [u_side, chosen]
+
+
 def _bulk_limit_reference(plan):
     """The bulk limit M, by costing every candidate against every live class."""
     stage = plan.block_counts[plan.genus - 1]
@@ -588,9 +670,9 @@ def test_first_block_class_frequencies(n, genus, rest, quantile):
 # sha256 of repr([h.images for the first k points of Seed(3), stream 0]); a
 # change to any seeded stream at genus 2 to 5 changes one of these digests.
 GOLDEN_STREAMS = [
-    (6, 4, 200, "d58db36ebbdbd9c155722cc73061b8d7d246216e0386bfbeaa2e07c752d4ca74"),
-    (8, 3, 300, "c820d2bebeeebe1d1d4f093fea08c17b2c7b0208cbd16589c452ef7ac215315a"),
-    (7, 5, 100, "834e310910bdfcff030777316a01147b14c41624c4e2e75433e324cda72c72a9"),
+    (6, 4, 200, "0677c9f2d015194d130e758c1fd6486729ff819216e7e4e11ae5e39f54b3a27a"),
+    (8, 3, 300, "6ce7efcbcc5550d035f6aa3589694c5e51c0aca118199f369fd073aa6cc52570"),
+    (7, 5, 100, "c5893acd53b88e82407f661ce4bae5786bbed66c8b98c526408fa10a66f65753"),
     (16, 2, 100, "295c58eef6c6c813c4fa81ecd67f4262a4c6651e9b6d2c94025ca0695df4852c"),
     (12, 2, 200, "3026ae9301f7534945d4cabccadbc71616c3b6383dcd1f17e2ed0a8be9c78576"),
 ]
