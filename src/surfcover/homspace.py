@@ -573,8 +573,9 @@ def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng
     from the smaller class, the u side on a tie: uniform u in K_u kept iff
     partial*u is in K_s, or uniform v in K_s kept iff partial^-1*v is in K_u,
     returning u = partial^-1*v. Both are exact, since u -> partial*u maps A
-    one-to-one onto the kept v, and both keep |A| = F(u, s, r) elements, so
-    the smaller class takes fewer expected trials, |K| / F.
+    one-to-one onto the kept v, and both keep |A| = F(u, s, r) elements, r
+    the class of partial, so the smaller class K takes fewer expected trials,
+    |K| / F.
     """
     parts = plan.table.partitions
     r_class = plan.table.index[cycle_type(partial)]
