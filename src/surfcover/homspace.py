@@ -20,15 +20,19 @@ proportional to 1/|mu|, hence to |C(a)|, the fibre's law. Transport runs iff
 The first block mixes a bulk set of classes, drawn as uniform pairs kept by an
 exact integer Bernoulli test, with the rest drawn by class (see `sample_hom`).
 
-At genus >= 3 each middle block first draws a class pair: its own class and
-the class of the product after it. The cumulative table for that draw is
-built once per (class of the product so far, blocks left) from integer dot
-products of dense character rows, and its total must equal the plan's block
-count for that class. The block is then uniform on {u in K_u : r*u in K_s}, r
-the product so far, and is placed by rejection from the smaller of K_u and
-K_s: u -> r*u maps that set one-to-one onto {v in K_s : r^-1*v in K_u}, so a
-uniform v kept iff r^-1*v is in K_u gives the same law, and both sides keep
-the same count, so the smaller class takes fewer expected trials.
+At genus >= 3 each middle block (a, b), r the product so far, has law
+P(a, b) proportional to N_rem(r*[a, b]), the completions by the blocks after
+it. Its draw table over class pairs (its own class u, the class s of the
+product after it) is built once per (class of r, blocks left) from integer
+dot products of dense character rows, and its total must equal the plan's
+block count for that class. The pairs whose N_rem(s) is at most a limit M
+form a bulk drawn as the first block's is, conditioned on r: a uniform pair
+kept iff randrange(M) < N_rem(r*[a, b]), which is exact since a uniform pair
+has every commutator v with probability N_1(v)/n!^2. The other pairs are
+drawn by weight, the block's value placed uniformly on {u in K_u : r*u in
+K_s} by rejection from the smaller of K_u and K_s (u -> r*u maps that set
+one-to-one onto {v in K_s : r^-1*v in K_u}, and both sides keep the same
+count), and the pair drawn from its fibre.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod, sqrt
-from operator import mul
+from operator import itemgetter, mul
 
 from .characters import (
     BudgetExceededError,
@@ -111,8 +115,8 @@ def _decode_perm(code: int, n: int) -> list[int]:
     items = list(range(n))
     out = []
     for k in range(n, 0, -1):
-        code, r = divmod(code, k)
-        out.append(items.pop(r))
+        out.append(items.pop(code % k))
+        code //= k
     return out
 
 
@@ -363,6 +367,20 @@ def generator_spec_expectation(n: int, genus: int, spec: ObservableSpec) -> Frac
 # Exactly uniform sampling
 
 
+def _bulk_limit(fact: int, entries) -> int:
+    """The limit M of a bulk set, the entries of value <= M, drawn as uniform
+    pairs of S_n each kept with probability value / M. entries are (value,
+    cost) pairs, cost the entry's weight times its expected trials outside the
+    bulk. M is the value minimising fact^2 M plus the costs of the entries
+    above it, the total weight times the expected trials; the smaller value on
+    a tie, and 0 without entries."""
+    costs, outside = [], 0
+    for value, group in itertools.groupby(sorted(entries, reverse=True), key=itemgetter(0)):
+        costs.append((fact**2 * value + outside, value))
+        outside += sum(cost for _, cost in group)
+    return min(costs, default=(0, 0))[1]
+
+
 class SamplerPlan:
     """Frozen integer weight tables that drive exact uniform sampling."""
 
@@ -408,33 +426,40 @@ class SamplerPlan:
         self.class_cum = list(itertools.accumulate(sizes))
         self.class_reps = tuple(map(_class_representative, parts))
         self.rep_inverses = tuple(map(inverse, self.class_reps))
-        # Bulk set S = {K : N_{g-1}(K) <= M} for the N_{g-1} value M minimising
-        # T times the expected first-block trials, the integer n!^2 M + sum over
-        # K outside S of W_K trials(K) = |K| N_{g-1}(K) n! min(|C_K|, p(n)),
-        # kept as a suffix sum down sorted classes.
+        # N_1(K) times the expected fibre trials of class K on its route.
+        self.fiber_costs = tuple(self.n_factorial * min(c, p) for c in centralizers)
+        # Bulk set S = {K : N_{g-1}(K) <= M}; outside it class K costs
+        # W_K trials(K) = |K| N_{g-1}(K) fiber_costs[K].
         weights = self.first_block_weights
-        fact = self.n_factorial
         live = sorted((stage[k], k) for k, w in enumerate(weights) if w)
-        costs, outside = [], 0
-        for value, group in itertools.groupby(reversed(live), key=lambda vk: vk[0]):
-            costs.append((fact**2 * value + outside, value))
-            outside += value * fact * sum(sizes[k] * min(centralizers[k], p) for _, k in group)
-        self.bulk_limit = min(costs)[1]
+        self.bulk_limit = _bulk_limit(
+            self.n_factorial, [(v, sizes[k] * v * self.fiber_costs[k]) for v, k in live]
+        )
         self.bulk_thresholds = {parts[k]: v for v, k in live if v <= self.bulk_limit}
         self.bulk_fixed = frozenset(mu.count(1) for mu in self.bulk_thresholds)
         self.bulk_mass = sum(weights[k] for v, k in live if v <= self.bulk_limit)
         self.rest_classes = tuple(sorted(k for v, k in live if v > self.bulk_limit))
         rest_weights = (weights[k] for k in self.rest_classes)
         self.rest_cum = list(itertools.accumulate(rest_weights, initial=self.bulk_mass))[1:]
-        self._mid_draws: dict[tuple[int, int], tuple[list[int], array]] = {}
+        self._mid_draws: dict[tuple[int, int], tuple[int, int, list[int], array]] = {}
 
     # -- lazy weight rows ---------------------------------------------------
 
     def mid_draw(self, r_class: int, remaining: int):
-        """Cumulative weights over class pairs (u, s) for the next mid block,
-        given a partial product in class r_class and `remaining` blocks after
-        it. Returns (cum, pairs); pairs[i] is the flat index u * p + s of the
-        i-th positive weight, in u-major order."""
+        """Draw table for the next mid block, given a partial product in class
+        r_class and `remaining` blocks after it: (limit, bulk_mass, cum, pairs).
+
+        Class pair (u, s), u the block's class and s the class of the product
+        after it, has weight N_1(u) F(u, s, r) N_remaining(s). The pairs with
+        N_remaining(s) <= limit form the bulk, of total weight bulk_mass, drawn
+        as uniform pairs kept by a Bernoulli test (see `_draw_mid_block`). cum
+        accumulates the weights of the other pairs from bulk_mass, as rest_cum
+        does, and pairs[i] is the flat index u * p + s of the i-th, in u-major
+        order. A bulk trial is kept with probability bulk_mass / (n!^2 limit).
+        The limit follows the first block's rule, `_bulk_limit`, each pair
+        outside the bulk costed by the fibre trials of u; its placement trials
+        are left out of that cost.
+        """
         key = (r_class, remaining)
         draw = self._mid_draws.get(key)
         if draw is None:
@@ -445,9 +470,8 @@ class SamplerPlan:
             square = self.n_factorial**2
             # F(u, s, r) = |K_u| |K_s| sum_l chi_l(u) chi_l(s) chi_l(r) h_l / (n!)^2
             v = [c * h for c, h in zip(chi[r_class], self.table.hook_products)]
-            cum: list[int] = []
-            pairs = array("I")
-            total = 0
+            # (N_remaining(s), weight, weight times the fibre trials of u, flat index)
+            live = []
             for u in range(p):
                 n_u = self.pair_counts[u]
                 if n_u == 0:
@@ -460,14 +484,16 @@ class SamplerPlan:
                         raise ArithmeticError(
                             "factorization count is not a non-negative integer"
                         )
-                    weight = n_u * q * completions[s]
-                    if weight > 0:
-                        total += weight
-                        cum.append(total)
-                        pairs.append(u * p + s)
-            if total != self.block_counts[remaining + 1][r_class]:
+                    c = completions[s]
+                    if q and c:
+                        live.append((c, n_u * q * c, q * c * self.fiber_costs[u], u * p + s))
+            limit = _bulk_limit(self.n_factorial, [(c, cost) for c, _, cost, _ in live])
+            bulk_mass = sum(weight for c, weight, _, _ in live if c <= limit)
+            rest = [(weight, flat) for c, weight, _, flat in live if c > limit]
+            cum = list(itertools.accumulate((w for w, _ in rest), initial=bulk_mass))[1:]
+            if (cum[-1] if cum else bulk_mass) != self.block_counts[remaining + 1][r_class]:
                 raise ArithmeticError("mid-block weights disagree with the block count")
-            draw = (cum, pairs)
+            draw = (limit, bulk_mass, cum, array("I", (flat for _, flat in rest)))
             self._mid_draws[key] = draw
         return draw
 
@@ -519,13 +545,19 @@ def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.
         a, b, tau = _pair_with_commutator_type(plan, (target.count(1),), target.__eq__, rng)
         t = uniform_conjugator(tau, sigma, rng)
         return conjugate(a, t), conjugate(b, t)
+    n, fact, reps, sigma_inv = plan.n, plan.n_factorial, plan.class_reps, inverse(sigma)
+    randrange = rng.randrange
     while True:
-        mu = parts[rng.randrange(len(parts))]
-        a = uniform_in_class(mu, plan.n, rng)
+        k = randrange(len(parts))
+        mu, rep = parts[k], reps[k]
+        t = _decode_perm(randrange(fact), n)  # a = rep^t, uniform in mu
+        # a maps t[i] to t[rep[i]], so a*sigma fixes t[i] iff t[rep[i]] == sigma^-1[t[i]]
+        if sum([t[y] == sigma_inv[x] for x, y in zip(t, rep)]) != mu.count(1):
+            continue
+        a = conjugate(rep, t)
         moved = compose(a, sigma)
-        if fix_count(moved) == mu.count(1) and cycle_type(moved) == mu:
-            break
-    return a, uniform_conjugator(a, moved, rng)
+        if cycle_type(moved) == mu:
+            return a, uniform_conjugator(a, moved, rng)
 
 
 def sample_hom(plan: SamplerPlan, rng: random.Random) -> HomPoint:
@@ -537,7 +569,9 @@ def sample_hom(plan: SamplerPlan, rng: random.Random) -> HomPoint:
     / M), proportional to W_K; the pair, drawn with a class representative as
     its first coordinate, is then conjugated by a uniform t. Otherwise a class
     outside it is drawn by weight, then a uniform element and a uniform pair
-    with that commutator.
+    with that commutator. Each mid block is a pair drawn by `_draw_mid_block`,
+    and the last block a uniform pair with the commutator that closes the
+    relator.
     """
     n, genus = plan.n, plan.genus
     r = rng.randrange(plan.total_weight)
@@ -554,8 +588,7 @@ def sample_hom(plan: SamplerPlan, rng: random.Random) -> HomPoint:
         a, b = _sample_commutator_fiber(plan, partial, rng)
     images = [a, b]
     for j in range(2, genus):
-        value = _draw_mid_block(plan, partial, genus - j, rng)
-        a, b = _sample_commutator_fiber(plan, value, rng)
+        a, b, value = _draw_mid_block(plan, partial, genus - j, rng)
         images += [a, b]
         partial = compose(partial, value)
     a, b = _sample_commutator_fiber(plan, inverse(partial), rng)
@@ -564,23 +597,50 @@ def sample_hom(plan: SamplerPlan, rng: random.Random) -> HomPoint:
 
 
 def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng):
-    """Value of the next commutator block given the product so far, for chains
-    with at least two free blocks remaining.
+    """(a, b, value): the next commutator block, with value = [a, b], given the
+    product so far, for chains with at least two free blocks remaining.
 
-    The class pair (u, s) is drawn from `plan.mid_draw`, where u is the class
-    of the block and s the class of the product after it; the block is then
-    uniform on A = {u in K_u : partial*u in K_s}. It is placed by rejection
-    from the smaller class, the u side on a tie: uniform u in K_u kept iff
-    partial*u is in K_s, or uniform v in K_s kept iff partial^-1*v is in K_u,
-    returning u = partial^-1*v. Both are exact, since u -> partial*u maps A
-    one-to-one onto the kept v, and both keep |A| = F(u, s, r) elements, r
-    the class of partial, so the smaller class K takes fewer expected trials,
-    |K| / F.
+    The target law is P(a, b) proportional to N_remaining(partial*[a, b]), so
+    P(value = v) ~ N_1(v) N_remaining(partial*v) and (a, b) is uniform on the
+    fibre of v. With probability bulk_mass / N_{remaining+1}(partial) (see
+    `plan.mid_draw`) the block comes from the bulk: uniform pairs, a pair
+    (a_mu, b) as in the first block conjugated by a uniform t, each kept iff
+    c = N_remaining(partial*[a, b]) <= limit and randrange(limit) < c. A trial
+    keeps each pair of the bulk class pairs with probability c / (n!^2 limit)
+    and no other pair, so a kept pair has the target law restricted to the
+    bulk. Otherwise a class pair (u, s) outside the bulk is drawn by weight,
+    the value placed by `_place_mid_block` and the pair drawn from its fibre.
+    """
+    n, index = plan.n, plan.table.index
+    limit, bulk_mass, cum, pairs = plan.mid_draw(index[cycle_type(partial)], remaining)
+    r = rng.randrange(cum[-1]) if cum else 0
+    if r >= bulk_mass:
+        u_idx, s_idx = divmod(pairs[bisect_right(cum, r)], len(plan.table.partitions))
+        value = _place_mid_block(plan, partial, u_idx, s_idx, rng)
+        return (*_sample_commutator_fiber(plan, value, rng), value)
+    completions, randrange = plan.block_counts[remaining], rng.randrange
+    every_fixed_count = range(n + 1)
+    while True:
+        a, b, c = _pair_with_commutator_type(plan, every_fixed_count, lambda mu: True, rng)
+        t = _decode_perm(randrange(plan.n_factorial), n)  # uniform
+        value = conjugate(c, t)
+        count = completions[index[cycle_type(compose(partial, value))]]
+        if count <= limit and randrange(limit) < count:
+            return conjugate(a, t), conjugate(b, t), value
+
+
+def _place_mid_block(plan: SamplerPlan, partial: Permutation, u_idx: int, s_idx: int, rng):
+    """Uniform u on A = {u in K_u : partial*u in K_s}, K_u and K_s the classes
+    of index u_idx and s_idx.
+
+    It is placed by rejection from the smaller class, the u side on a tie:
+    uniform u in K_u kept iff partial*u is in K_s, or uniform v in K_s kept iff
+    partial^-1*v is in K_u, returning u = partial^-1*v. Both are exact, since
+    u -> partial*u maps A one-to-one onto the kept v, and both keep |A| =
+    F(u, s, r) elements, r the class of partial, so the smaller class K takes
+    fewer expected trials, |K| / F.
     """
     parts = plan.table.partitions
-    r_class = plan.table.index[cycle_type(partial)]
-    cum, pairs = plan.mid_draw(r_class, remaining)
-    u_idx, s_idx = divmod(pairs[bisect_right(cum, rng.randrange(cum[-1]))], len(parts))
     mu_u, mu_s = parts[u_idx], parts[s_idx]
     from_s = plan.table.class_sizes[s_idx] < plan.table.class_sizes[u_idx]
     base, drawn, kept = (inverse(partial), mu_s, mu_u) if from_s else (partial, mu_u, mu_s)

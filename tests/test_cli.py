@@ -371,7 +371,7 @@ GOLDEN_CLI = [
     (
         ["verify-cycles", "-n", "8", "-g", "3", "--seed", "5", "--samples", "2000",
          "--words", "a1,a2,b3"],
-        "8ec27adb106d0720344c8939409744435514476fa38cd3d2946f9ecd08ed0300",
+        "67616f1c0b3bd5a49505db889f33e12b47dd999fa91e9b74a00566f67001b3b9",
     ),
     (
         ["enumerate", "-n", "4", "-g", "2",

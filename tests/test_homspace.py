@@ -504,7 +504,8 @@ def test_sampler_genus_three_block_marginals_match_enumeration():
 
 
 def _mid_draw_reference(plan, r_class, remaining):
-    """The mid-block draw table built from factorization_count, pair by pair."""
+    """The mid-block class-pair weights built from factorization_count, pair
+    by pair: (weights, pairs), pairs[i] = (u, s) in u-major order."""
     parts = plan.table.partitions
     completions = plan.block_counts[remaining]
     weights, pairs = [], []
@@ -517,7 +518,15 @@ def _mid_draw_reference(plan, r_class, remaining):
             if weight > 0:
                 weights.append(weight)
                 pairs.append((u, s))
-    return list(itertools.accumulate(weights)), pairs
+    return weights, pairs
+
+
+def _fiber_trials(plan, k):
+    """Expected trials of a uniform pair with commutator in class k, on its route."""
+    count = plan.pair_counts[k]
+    if plan.routes[k]:
+        return Fraction(plan.n_factorial**2, plan.table.class_sizes[k] * count)
+    return Fraction(len(plan.table.partitions) * plan.n_factorial, count)
 
 
 @pytest.mark.parametrize("n,genus", [(5, 3), (7, 3), (6, 4)])
@@ -525,19 +534,108 @@ def test_mid_draw_matches_factorization_count_reference(n, genus):
     plan = get_sampler(n, genus)
     p = len(plan.table.partitions)
     for remaining in range(1, genus - 1):
+        completions = plan.block_counts[remaining]
         for r_class in range(p):
-            cum, pairs = plan.mid_draw(r_class, remaining)
-            ref_cum, ref_pairs = _mid_draw_reference(plan, r_class, remaining)
-            assert cum == ref_cum
-            assert [divmod(i, p) for i in pairs] == ref_pairs
-            assert (cum[-1] if cum else 0) == plan.block_counts[remaining + 1][r_class]
+            limit, bulk_mass, cum, pairs = plan.mid_draw(r_class, remaining)
+            weights, ref_pairs = _mid_draw_reference(plan, r_class, remaining)
+            rest = [(w, (u, s)) for w, (u, s) in zip(weights, ref_pairs) if completions[s] > limit]
+            assert bulk_mass == sum(weights) - sum(w for w, _ in rest)
+            assert cum == list(itertools.accumulate((w for w, _ in rest), initial=bulk_mass))[1:]
+            assert [divmod(i, p) for i in pairs] == [pair for _, pair in rest]
+            assert (cum[-1] if cum else bulk_mass) == plan.block_counts[remaining + 1][r_class]
+            if not weights:
+                continue
+
+            def cost(m):  # the total weight times the expected trials, placement left out
+                outside = sum(
+                    w * _fiber_trials(plan, u)
+                    for w, (u, s) in zip(weights, ref_pairs)
+                    if completions[s] > m
+                )
+                return plan.n_factorial**2 * m + outside
+
+            assert limit == min(sorted({completions[s] for _, s in ref_pairs}), key=cost)
+
+
+# The support of every mid block at n = 5 is A_5 for every even partial, so a
+# chi-square over its 60 elements has 59 degrees of freedom, 0.999 point 98.32.
+MID_LAW_QUANTILE = 98.32
+
+
+def _mid_block_law(plan, partial, remaining, perms):
+    """P(u | r) = N_1(K_u) N_remaining(K_{r u}) / N_{remaining+1}(K_r) for every u."""
+    index = plan.table.index
+    total = plan.block_counts[remaining + 1][index[cycle_type(partial)]]
+    law = {}
+    for u in perms:
+        count = (
+            plan.pair_counts[index[cycle_type(u)]]
+            * plan.block_counts[remaining][index[cycle_type(compose(partial, u))]]
+        )
+        if count:
+            law[u] = Fraction(count, total)
+    assert sum(law.values()) == 1
+    return law
+
+
+def _chi2(counts, law, samples):
+    assert set(counts) <= set(law)
+    return sum((counts[u] - samples * p) ** 2 / (samples * p) for u, p in law.items())
+
+
+@pytest.mark.parametrize("genus,remaining", [(3, 1), (4, 2)])
+def test_mid_block_value_law(genus, remaining):
+    # the value of _draw_mid_block over all of S_5, bulk and rest together, for
+    # partial each class representative; an odd partial has no completion
+    plan = get_sampler(5, genus)
+    perms = list(itertools.permutations(range(5)))
+    for k, rep in enumerate(plan.class_reps):
+        if plan.block_counts[remaining + 1][k] == 0:
+            assert (5 - len(cycle_type(rep))) % 2 == 1
+            continue
+        law = _mid_block_law(plan, rep, remaining, perms)
+        assert len(law) == 60
+        rng = stream_for(Seed(28), k, remaining)
+        samples = 10_000
+        counts = Counter()
+        for _ in range(samples):
+            a, b, value = homspace._draw_mid_block(plan, rep, remaining, rng)
+            assert commutator(a, b) == value
+            counts[value] += 1
+        # the rest draws only v = rep^-1, whose product has the most completions
+        assert 0 < counts[inverse(rep)] < samples
+        assert _chi2(counts, law, samples) < MID_LAW_QUANTILE
+
+
+@pytest.mark.parametrize("mu", [(3, 1), (2, 2), (1, 1, 1, 1)], ids=["3-1", "2-2", "1-1-1-1"])
+def test_mid_block_pair_law(mu):
+    # P(a, b) = N_1(K_{r [a, b]}) / N_2(K_r) over all 576 pairs of S_4 at genus 3;
+    # 685.52 is the 0.999 point of chi-square with 575 degrees of freedom
+    plan = get_sampler(4, 3)
+    index = plan.table.index
+    partial = plan.class_reps[index[mu]]
+    total = plan.block_counts[2][index[mu]]
+    perms = list(itertools.permutations(range(4)))
+    law = {}
+    for a in perms:
+        for b in perms:
+            s = index[cycle_type(compose(partial, commutator(a, b)))]
+            law[a, b] = Fraction(plan.block_counts[1][s], total)
+    assert sum(law.values()) == 1 and all(law.values())
+    rng = stream_for(Seed(28), 4, index[mu])
+    samples = 40_000
+    counts = Counter()
+    for _ in range(samples):
+        a, b, value = homspace._draw_mid_block(plan, partial, 1, rng)
+        assert commutator(a, b) == value
+        counts[a, b] += 1
+    assert _chi2(counts, law, samples) < 685.52
 
 
 @pytest.mark.parametrize("genus,remaining", [(3, 1), (4, 2)])
 def test_mid_block_placement_law(monkeypatch, genus, remaining):
-    # P(u | r) = N_1(K_u) N_remaining(K_{r u}) / N_{remaining+1}(K_r) over all of
-    # S_5; 98.32 is the 0.999 point of chi-square with 59 degrees of freedom,
-    # the support being A_5 for every even r.
+    # The class pair (u, s) drawn by its full weight, bulk included, then the
+    # block placed by _place_mid_block: u follows the law of the mid block.
     plan = get_sampler(5, genus)
     sizes, index = plan.table.class_sizes, plan.table.index
     drawn_from = []
@@ -551,68 +649,102 @@ def test_mid_block_placement_law(monkeypatch, genus, remaining):
     perms = list(itertools.permutations(range(5)))
     for mu in [(1, 1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (5,)]:
         partial = plan.class_reps[index[mu]]
-        total = plan.block_counts[remaining + 1][index[mu]]
-        law = {}
-        for u in perms:
-            count = (
-                plan.pair_counts[index[cycle_type(u)]]
-                * plan.block_counts[remaining][index[cycle_type(compose(partial, u))]]
-            )
-            if count:
-                law[u] = Fraction(count, total)
-        assert len(law) == 60 and sum(law.values()) == 1
+        law = _mid_block_law(plan, partial, remaining, perms)
+        assert len(law) == 60
+        weights, pairs = _mid_draw_reference(plan, index[mu], remaining)
         rng = stream_for(Seed(26), index[mu], remaining)
         samples = 10_000
         counts = Counter()
-        for _ in range(samples):
+        for u_idx, s_idx in rng.choices(pairs, weights, k=samples):
             drawn_from.clear()
-            u = homspace._draw_mid_block(plan, partial, remaining, rng)
-            u_class, s_class = cycle_type(u), cycle_type(compose(partial, u))
-            from_s = sizes[index[s_class]] < sizes[index[u_class]]
-            assert set(drawn_from) == {s_class if from_s else u_class}
+            u = homspace._place_mid_block(plan, partial, u_idx, s_idx, rng)
+            assert (index[cycle_type(u)], index[cycle_type(compose(partial, u))]) == (u_idx, s_idx)
+            from_s = sizes[s_idx] < sizes[u_idx]
+            assert set(drawn_from) == {plan.table.partitions[s_idx if from_s else u_idx]}
             sides[from_s] += 1
             counts[u] += 1
-        assert set(counts) <= set(law)
-        chi2 = sum((counts[u] - samples * p) ** 2 / (samples * p) for u, p in law.items())
-        assert chi2 < 98.32
+        assert _chi2(counts, law, samples) < MID_LAW_QUANTILE
     assert sides[True] > 0 and sides[False] > 0
 
 
+class _Placed(Exception):
+    pass
+
+
+class _FixedDraw:
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, stop):
+        assert 0 <= self.value < stop
+        return self.value
+
+
+def test_mid_block_rest_draw_follows_its_cumulative_weights(monkeypatch):
+    # both ends of each rest pair's interval of cum place that pair
+    plan = get_sampler(8, 3)
+    p = len(plan.table.partitions)
+    placed = []
+
+    def place(plan, partial, u_idx, s_idx, rng):
+        placed.append((u_idx, s_idx))
+        raise _Placed
+
+    monkeypatch.setattr(homspace, "_place_mid_block", place)
+    rest_pairs = 0
+    for r_class, rep in enumerate(plan.class_reps):
+        limit, bulk_mass, cum, pairs = plan.mid_draw(r_class, 1)
+        for low, high, flat in zip([bulk_mass, *cum], cum, pairs):
+            for value in (low, high - 1):
+                with pytest.raises(_Placed):
+                    homspace._draw_mid_block(plan, rep, 1, _FixedDraw(value))
+                assert placed.pop() == divmod(flat, p)
+        rest_pairs += len(pairs)
+    assert rest_pairs > len(plan.class_reps)
+
+
 def _expected_mid_block_trials(plan):
-    """Exact expected mid-block trials per point: (u side only, the side
-    _draw_mid_block takes). The first block's class follows
-    first_block_weights and each (u, s) its mid_draw weight; given (u, s) from
-    r, F = weight / (N_1(u) N_remaining(s)) elements are kept, so drawing from
-    class K takes |K| / F expected trials."""
-    p, sizes = len(plan.table.partitions), plan.table.class_sizes
-    law = {r: Fraction(w, plan.total_weight) for r, w in enumerate(plan.first_block_weights) if w}
-    u_side = chosen = Fraction(0)
+    """Exact expected mid-stage trials per point: (bulk pair trials, rest
+    placement trials, rest fibre trials). Before mid block j + 1 the product
+    so far is in class r with probability |K_r| N_j(r) N_{g-j}(r) / #points;
+    there a bulk pair is kept with probability bulk_mass / (n!^2 limit), so the
+    bulk takes n!^2 limit / N_{g-j}(r) expected trials. A rest pair (u, s) of
+    weight w keeps F = w / (N_1(u) N_remaining(s)) elements, so placing it
+    from class K takes |K| / F expected trials, and its fibre the trials of u."""
+    p, sizes, counts = len(plan.table.partitions), plan.table.class_sizes, plan.block_counts
+    bulk = placement = fibre = Fraction(0)
     for remaining in range(plan.genus - 2, 0, -1):
-        after = Counter()
-        for r, p_r in law.items():
-            cum, pairs = plan.mid_draw(r, remaining)
-            for low, high, flat in zip([0, *cum], cum, pairs):
+        done = plan.genus - 1 - remaining
+        for r, size in enumerate(sizes):
+            total = counts[remaining + 1][r]
+            p_r = Fraction(size * counts[done][r] * total, plan.total_weight)
+            if not p_r:
+                continue
+            limit, bulk_mass, cum, pairs = plan.mid_draw(r, remaining)
+            bulk += p_r * Fraction(plan.n_factorial**2 * limit, total)
+            for low, high, flat in zip([bulk_mass, *cum], cum, pairs):
                 u, s = divmod(flat, p)
-                kept, rem = divmod(high - low, plan.pair_counts[u] * plan.block_counts[remaining][s])
+                kept, rem = divmod(high - low, plan.pair_counts[u] * counts[remaining][s])
                 assert rem == 0 and kept > 0
                 trials_u, trials_s = Fraction(sizes[u], kept), Fraction(sizes[s], kept)
-                trials = trials_s if sizes[s] < sizes[u] else trials_u
-                assert trials <= min(trials_u, trials_s)
-                weight = p_r * Fraction(high - low, cum[-1])
-                u_side += weight * trials_u
-                chosen += weight * trials
-                after[s] += weight
-        law = after
-    return u_side, chosen
+                taken, other = (trials_s, trials_u) if sizes[s] < sizes[u] else (trials_u, trials_s)
+                assert taken <= other
+                weight = p_r * Fraction(high - low, total)
+                placement += weight * taken
+                fibre += weight * _fiber_trials(plan, u)
+    return bulk, placement, fibre
 
 
 @pytest.mark.parametrize(
-    "n,genus,u_side,chosen", [(8, 3, 14.32, 6.04), (10, 3, 28.12, 9.56), (6, 4, 11.27, 7.04)]
+    "n,genus,bulk,placement,fibre",
+    [(10, 3, 1.41, 0.27, 0.18), (8, 3, 1.29, 0.26, 0.23), (6, 4, 2.33, 0.02, 0.07)],
 )
-def test_mid_block_trials_from_the_smaller_class(n, genus, u_side, chosen):
-    # counted work, free of host noise: expected mid-block trials per point
+def test_mid_block_trials_from_the_smaller_class(n, genus, bulk, placement, fibre):
+    # counted work, free of host noise: expected mid-stage trials per point,
+    # each bulk trial decoding two permutations; placing from the smaller class
+    # and a fibre per block took 9.56 + 12.01 / 6.04 + 7.18 / 7.04 + 7.85 before
     expected = _expected_mid_block_trials(get_sampler(n, genus))
-    assert [round(float(x), 2) for x in expected] == [u_side, chosen]
+    assert [round(float(x), 2) for x in expected] == [bulk, placement, fibre]
 
 
 def _bulk_limit_reference(plan):
@@ -620,14 +752,10 @@ def _bulk_limit_reference(plan):
     stage = plan.block_counts[plan.genus - 1]
     live = [k for k, w in enumerate(plan.first_block_weights) if w]
 
-    def trials(k):
-        count = plan.pair_counts[k]
-        if plan.routes[k]:
-            return Fraction(plan.n_factorial**2, plan.table.class_sizes[k] * count)
-        return Fraction(len(plan.table.partitions) * plan.n_factorial, count)
-
     def cost(m):  # T times the expected first-block trials
-        outside = sum(plan.first_block_weights[k] * trials(k) for k in live if stage[k] > m)
+        outside = sum(
+            plan.first_block_weights[k] * _fiber_trials(plan, k) for k in live if stage[k] > m
+        )
         return plan.n_factorial**2 * m + outside
 
     return min(sorted({stage[k] for k in live}), key=cost)
@@ -670,9 +798,9 @@ def test_first_block_class_frequencies(n, genus, rest, quantile):
 # sha256 of repr([h.images for the first k points of Seed(3), stream 0]); a
 # change to any seeded stream at genus 2 to 5 changes one of these digests.
 GOLDEN_STREAMS = [
-    (6, 4, 200, "0677c9f2d015194d130e758c1fd6486729ff819216e7e4e11ae5e39f54b3a27a"),
-    (8, 3, 300, "6ce7efcbcc5550d035f6aa3589694c5e51c0aca118199f369fd073aa6cc52570"),
-    (7, 5, 100, "c5893acd53b88e82407f661ce4bae5786bbed66c8b98c526408fa10a66f65753"),
+    (6, 4, 200, "13a4d5b980dece9d02d46784bfb9170d5dd7634f528314748199594a8fc6016f"),
+    (8, 3, 300, "9fd3e1dbdfd8b26ad197328846b9560afe42dadb9f16c16f9997ee8a87f121a9"),
+    (7, 5, 100, "bf22fd1d700b2c915bc277aafdcb84d8325f17758e262f5193b9c52491b0b7ca"),
     (16, 2, 100, "295c58eef6c6c813c4fa81ecd67f4262a4c6651e9b6d2c94025ca0695df4852c"),
     (12, 2, 200, "3026ae9301f7534945d4cabccadbc71616c3b6383dcd1f17e2ed0a8be9c78576"),
 ]

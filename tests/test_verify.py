@@ -194,3 +194,20 @@ def test_sampled_row_stderr_scaling():
     row_large = run_convergence(large).rows[0]
     ratio = row_large.joint_stderr / row_small.joint_stderr
     assert 0.4 < ratio < 0.6
+
+
+def test_genus_three_cycle_statistics_match_exact_references():
+    # a1 comes from the first block, a2 from the mid block and b3 from the last,
+    # so every block of a genus-3 point has an exact finite-n reference here
+    words = [word_from_text(text, 3) for text in ("a1", "a2", "b3")]
+    report = run_cycle_convergence(words, 3, 10, 10_000, seed=3)
+    exact = homspace.handle_product_means(
+        10, 3, [((lambda kappa, d=d: kappa.count(d)),) for d in (1, 2, 3)]
+    )
+    assert len(report.rows) == 9
+    for row in report.rows:
+        assert abs(row.mean - exact[row.d - 1]) < 4 * row.stderr
+    fixed = (lambda kappa: kappa.count(1),)
+    joint = homspace.handle_product_means(10, 3, [fixed * 2])[0]
+    cov = next(c for c in report.covariances if (c.words, c.lengths) == ((0, 1), (1, 1)))
+    assert abs(cov.covariance - float(joint - exact[0] ** 2)) < 4 * cov.covariance_stderr
