@@ -803,6 +803,9 @@ GOLDEN_STREAMS = [
     (7, 5, 100, "bf22fd1d700b2c915bc277aafdcb84d8325f17758e262f5193b9c52491b0b7ca"),
     (16, 2, 100, "295c58eef6c6c813c4fa81ecd67f4262a4c6651e9b6d2c94025ca0695df4852c"),
     (12, 2, 200, "3026ae9301f7534945d4cabccadbc71616c3b6383dcd1f17e2ed0a8be9c78576"),
+    # the first block's rest is empty here, as at (6, 4), yet its split is drawn
+    (2, 2, 200, "37911179431c6154679a9d6312ba8bfeb04de2a4f5374613186d551d980812cd"),
+    (3, 3, 200, "fbdd93da344885fa6cac1b69e22a480afdd201898cdf82ecf37ca1ac707554fb"),
 ]
 
 
