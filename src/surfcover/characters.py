@@ -67,10 +67,6 @@ def _hook_product(lam: Partition) -> int:
     return product
 
 
-def hook_product(lam: Partition) -> int:
-    return _hook_product(check_partition(lam))
-
-
 def dim_irrep(lam: Partition) -> int:
     """Dimension by the hook length formula: n! over the product of hooks."""
     lam = check_partition(lam)

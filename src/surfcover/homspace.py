@@ -8,31 +8,30 @@ Three access modes, all exact:
 * exactly uniform sampling driven by character-sum class weights (moderate n),
 * Monte Carlo estimation over the sampler with reproducible seeded streams.
 
-The sampler picks the conjugacy class of each commutator block with its exact
-integer weight, then draws a uniform pair inside the chosen fiber. Transport
-rejects pairs (a_mu, b), mu drawn with probability |mu|/n! and a_mu a fixed
-representative, then conjugates by a uniform transporter; it is exact since
-commutator classes are conjugation invariant. The uniform-class route keeps a
-uniform a in a uniform class mu iff a*sigma has type mu, so P(a) is
+The sampler draws the commutator blocks in order. A block before the last,
+r the product so far (e before the first), has law P(a, b) proportional to
+N_rem(r*[a, b]), the completions by the blocks after it, and is drawn from
+one table over class pairs (its own class u, the class s of the product
+after it). A table is built once per (class of r, blocks left), the first
+block's from the diagonal F(u, s, e) = |K_u| [u = s] and the others from
+integer dot products of dense character rows, and its total must equal the
+plan's block count, the point count for the first block. The pairs whose
+N_rem(s) is at most a limit M form a bulk: a uniform pair kept iff
+randrange(M) < N_rem(r*[a, b]), which is exact since a uniform pair has
+every commutator v with probability N_1(v)/n!^2. The other pairs are drawn
+by weight, the block's value placed uniformly on {u in K_u : r*u in K_s} by
+rejection from the smaller of K_u and K_s (u -> r*u maps that set one-to-one
+onto {v in K_s : r^-1*v in K_u}, and both sides keep the same count), and
+the pair drawn from its fibre. The last block is a uniform pair in the fibre
+of the commutator that closes the relator.
+
+A fibre, the pairs with one commutator sigma, is drawn by one of two routes.
+Transport rejects pairs (a_mu, b), mu drawn with probability |mu|/n! and a_mu
+a fixed representative, then conjugates by a uniform transporter; it is exact
+since commutator classes are conjugation invariant. The uniform-class route
+keeps a uniform a in a uniform class mu iff a*sigma has type mu, so P(a) is
 proportional to 1/|mu|, hence to |C(a)|, the fibre's law. Transport runs iff
 |C_K| <= p(n), the route with fewer expected trials.
-
-The first block mixes a bulk set of classes, drawn as uniform pairs kept by an
-exact integer Bernoulli test, with the rest drawn by class (see `sample_hom`).
-
-At genus >= 3 each middle block (a, b), r the product so far, has law
-P(a, b) proportional to N_rem(r*[a, b]), the completions by the blocks after
-it. Its draw table over class pairs (its own class u, the class s of the
-product after it) is built once per (class of r, blocks left) from integer
-dot products of dense character rows, and its total must equal the plan's
-block count for that class. The pairs whose N_rem(s) is at most a limit M
-form a bulk drawn as the first block's is, conditioned on r: a uniform pair
-kept iff randrange(M) < N_rem(r*[a, b]), which is exact since a uniform pair
-has every commutator v with probability N_1(v)/n!^2. The other pairs are
-drawn by weight, the block's value placed uniformly on {u in K_u : r*u in
-K_s} by rejection from the smaller of K_u and K_s (u -> r*u maps that set
-one-to-one onto {v in K_s : r^-1*v in K_u}, and both sides keep the same
-count), and the pair drawn from its fibre.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .perms import (
     conjugate,
     cycle_type,
     cycles,
-    fix_count,
+    identity,
     inverse,
 )
 
@@ -118,14 +117,6 @@ def _decode_perm(code: int, n: int) -> list[int]:
         out.append(items.pop(code % k))
         code //= k
     return out
-
-
-def uniform_in_class(mu, n: int, rng: random.Random) -> Permutation:
-    """Uniform permutation with cycle type mu, by chopping a random arrangement
-    (one decoded rank) into consecutive cycles."""
-    if sum(mu) != n:
-        raise ValueError("cycle type size mismatch")
-    return conjugate(_class_representative(mu), _decode_perm(rng.randrange(factorial(n)), n))
 
 
 def uniform_conjugator(p: Permutation, q: Permutation, rng: random.Random) -> Permutation:
@@ -367,20 +358,6 @@ def generator_spec_expectation(n: int, genus: int, spec: ObservableSpec) -> Frac
 # Exactly uniform sampling
 
 
-def _bulk_limit(fact: int, entries) -> int:
-    """The limit M of a bulk set, the entries of value <= M, drawn as uniform
-    pairs of S_n each kept with probability value / M. entries are (value,
-    cost) pairs, cost the entry's weight times its expected trials outside the
-    bulk. M is the value minimising fact^2 M plus the costs of the entries
-    above it, the total weight times the expected trials; the smaller value on
-    a tie, and 0 without entries."""
-    costs, outside = [], 0
-    for value, group in itertools.groupby(sorted(entries, reverse=True), key=itemgetter(0)):
-        costs.append((fact**2 * value + outside, value))
-        outside += sum(cost for _, cost in group)
-    return min(costs, default=(0, 0))[1]
-
-
 class SamplerPlan:
     """Frozen integer weight tables that drive exact uniform sampling."""
 
@@ -408,14 +385,6 @@ class SamplerPlan:
         if any(c < 0 for counts in self.block_counts.values() for c in counts):
             raise ArithmeticError("negative block count")
         self.pair_counts = self.block_counts[1]
-        stage = self.block_counts[genus - 1]
-        self.first_block_weights = tuple(
-            size * stage[i] * self.pair_counts[i]
-            for i, size in enumerate(self.table.class_sizes)
-        )
-        self.total_weight = sum(self.first_block_weights)
-        if self.total_weight != hom_count(n, genus):
-            raise ArithmeticError("stage weights do not sum to the point count")
         # Fibre route per class K: transport, with n!^2 / (|K| N_1(K)) expected
         # trials, when |C_K| <= p(n); otherwise the uniform-class route, with
         # p(n) n! / N_1(K). Rejection from pairs draws `a` as the class
@@ -428,40 +397,63 @@ class SamplerPlan:
         self.rep_inverses = tuple(map(inverse, self.class_reps))
         # N_1(K) times the expected fibre trials of class K on its route.
         self.fiber_costs = tuple(self.n_factorial * min(c, p) for c in centralizers)
-        # Bulk set S = {K : N_{g-1}(K) <= M}; outside it class K costs
-        # W_K trials(K) = |K| N_{g-1}(K) fiber_costs[K].
-        weights = self.first_block_weights
-        live = sorted((stage[k], k) for k, w in enumerate(weights) if w)
-        self.bulk_limit = _bulk_limit(
-            self.n_factorial, [(v, sizes[k] * v * self.fiber_costs[k]) for v, k in live]
-        )
-        self.bulk_thresholds = {parts[k]: v for v, k in live if v <= self.bulk_limit}
-        self.bulk_fixed = frozenset(mu.count(1) for mu in self.bulk_thresholds)
-        self.bulk_mass = sum(weights[k] for v, k in live if v <= self.bulk_limit)
-        self.rest_classes = tuple(sorted(k for v, k in live if v > self.bulk_limit))
-        rest_weights = (weights[k] for k in self.rest_classes)
-        self.rest_cum = list(itertools.accumulate(rest_weights, initial=self.bulk_mass))[1:]
-        self._mid_draws: dict[tuple[int, int], tuple[int, int, list[int], array]] = {}
+        # The first block is the block draw at r = e with genus - 1 blocks
+        # after it: F(u, s, e) = |K_u| [u = s], so only the pairs (K, K) carry
+        # weight, |K| N_1(K) N_{g-1}(K), summing to the point count.
+        # bulk_fixed holds the fixed-point counts of its bulk classes.
+        stage = self.block_counts[genus - 1]
+        live = [k for k, (n_1, c) in enumerate(zip(self.pair_counts, stage)) if n_1 and c]
+        entries = [
+            (stage[k], sizes[k] * self.pair_counts[k] * stage[k],
+             sizes[k] * stage[k] * self.fiber_costs[k], k * (p + 1))
+            for k in live
+        ]
+        self.total_weight = hom_count(n, genus)
+        first = self._draw_table(entries, self.total_weight)
+        self._draws = {(self.table.index[(1,) * n], genus - 1): first}
+        self.bulk_fixed = frozenset(parts[k].count(1) for k in live if stage[k] <= first[0])
 
-    # -- lazy weight rows ---------------------------------------------------
+    # -- block draw tables --------------------------------------------------
 
-    def mid_draw(self, r_class: int, remaining: int):
-        """Draw table for the next mid block, given a partial product in class
-        r_class and `remaining` blocks after it: (limit, bulk_mass, cum, pairs).
+    def _draw_table(self, entries, total: int):
+        """(limit, bulk_mass, cum, pairs) from entries (N_remaining(s), weight,
+        weight times the fibre trials of u, flat index u * p + s) in flat
+        order, checked against the block count `total`.
+
+        The limit M is the value minimising n!^2 M plus the costs of the
+        entries above it, the total weight times the expected trials; the
+        smaller value on a tie, and 0 without entries. The entries of value
+        <= M form the bulk, of total weight bulk_mass. cum accumulates the
+        weights of the other entries from bulk_mass, and pairs[i] is the flat
+        index of the i-th.
+        """
+        costs, outside = [], 0
+        for value, group in itertools.groupby(sorted(entries, reverse=True), key=itemgetter(0)):
+            costs.append((self.n_factorial**2 * value + outside, value))
+            outside += sum(cost for _, _, cost, _ in group)
+        limit = min(costs, default=(0, 0))[1]
+        bulk_mass = sum(weight for c, weight, _, _ in entries if c <= limit)
+        rest = [(weight, flat) for c, weight, _, flat in entries if c > limit]
+        cum = list(itertools.accumulate((w for w, _ in rest), initial=bulk_mass))[1:]
+        if (cum[-1] if cum else bulk_mass) != total:
+            raise ArithmeticError("block weights disagree with the block count")
+        return limit, bulk_mass, cum, array("I", (flat for _, flat in rest))
+
+    def block_draw(self, r_class: int, remaining: int):
+        """Draw table for the next block, given a partial product in class
+        r_class and `remaining` blocks after it: (limit, bulk_mass, cum, pairs)
+        by `_draw_table`.
 
         Class pair (u, s), u the block's class and s the class of the product
-        after it, has weight N_1(u) F(u, s, r) N_remaining(s). The pairs with
-        N_remaining(s) <= limit form the bulk, of total weight bulk_mass, drawn
-        as uniform pairs kept by a Bernoulli test (see `_draw_mid_block`). cum
-        accumulates the weights of the other pairs from bulk_mass, as rest_cum
-        does, and pairs[i] is the flat index u * p + s of the i-th, in u-major
-        order. A bulk trial is kept with probability bulk_mass / (n!^2 limit).
-        The limit follows the first block's rule, `_bulk_limit`, each pair
-        outside the bulk costed by the fibre trials of u; its placement trials
-        are left out of that cost.
+        after it, has weight N_1(u) F(u, s, r) N_remaining(s), and the weights
+        sum to N_{remaining+1}(r). A bulk trial is kept with probability
+        bulk_mass / (n!^2 limit) (see `_draw_block`). Each pair outside the
+        bulk is costed by the fibre trials of u; its placement trials are left
+        out of that cost. The first block's table, at r = e, is built with the
+        plan; the others from dense character rows when first asked for.
         """
         key = (r_class, remaining)
-        draw = self._mid_draws.get(key)
+        draw = self._draws.get(key)
         if draw is None:
             chi = self.chi_matrix
             p = len(chi)
@@ -470,7 +462,6 @@ class SamplerPlan:
             square = self.n_factorial**2
             # F(u, s, r) = |K_u| |K_s| sum_l chi_l(u) chi_l(s) chi_l(r) h_l / (n!)^2
             v = [c * h for c, h in zip(chi[r_class], self.table.hook_products)]
-            # (N_remaining(s), weight, weight times the fibre trials of u, flat index)
             live = []
             for u in range(p):
                 n_u = self.pair_counts[u]
@@ -487,14 +478,8 @@ class SamplerPlan:
                     c = completions[s]
                     if q and c:
                         live.append((c, n_u * q * c, q * c * self.fiber_costs[u], u * p + s))
-            limit = _bulk_limit(self.n_factorial, [(c, cost) for c, _, cost, _ in live])
-            bulk_mass = sum(weight for c, weight, _, _ in live if c <= limit)
-            rest = [(weight, flat) for c, weight, _, flat in live if c > limit]
-            cum = list(itertools.accumulate((w for w, _ in rest), initial=bulk_mass))[1:]
-            if (cum[-1] if cum else bulk_mass) != self.block_counts[remaining + 1][r_class]:
-                raise ArithmeticError("mid-block weights disagree with the block count")
-            draw = (limit, bulk_mass, cum, array("I", (flat for _, flat in rest)))
-            self._mid_draws[key] = draw
+            draw = self._draw_table(live, self.block_counts[remaining + 1][r_class])
+            self._draws[key] = draw
         return draw
 
 
@@ -530,12 +515,26 @@ def _pair_with_commutator_type(plan: SamplerPlan, fixed_ok, accept, rng: random.
             return a, tuple(b), tuple(c)
 
 
+def _class_trial(plan: SamplerPlan, k: int, sigma, sigma_inv, kept, rng):
+    """One uniform element a = rep^t of class k, t decoded from one draw,
+    returned iff a*sigma has cycle type kept, else None; sigma_inv is
+    sigma^-1. The fixed points of a*sigma are counted on t before a is built."""
+    rep = plan.class_reps[k]
+    t = _decode_perm(rng.randrange(plan.n_factorial), plan.n)
+    # a maps t[i] to t[rep[i]], so a*sigma fixes t[i] iff t[rep[i]] == sigma^-1[t[i]]
+    if sum([t[y] == sigma_inv[x] for x, y in zip(t, rep)]) != kept.count(1):
+        return None
+    a = conjugate(rep, t)
+    return a if cycle_type(compose(a, sigma)) == kept else None
+
+
 def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.Random):
     """Uniform pair with commutator sigma. Transport: pairs (a_mu, b) rejected
     into sigma's class and conjugated into place by a uniform transporter, which
     absorbs any extra uniform conjugation. Uniform class: a uniform in a uniform
-    class mu, kept iff a*sigma has type mu, so P(a) ~ 1/|mu| ~ |C(a)|; then b
-    uniform among the |C(a)| elements conjugating a to a*sigma."""
+    class mu, kept iff a*sigma has type mu (`_class_trial`), so P(a) ~ 1/|mu|
+    ~ |C(a)|; then b uniform among the |C(a)| elements conjugating a to
+    a*sigma."""
     sigma_class = plan.table.index[cycle_type(sigma)]
     if plan.pair_counts[sigma_class] == 0:
         raise ValueError("no pairs have this commutator")
@@ -545,91 +544,77 @@ def _sample_commutator_fiber(plan: SamplerPlan, sigma: Permutation, rng: random.
         a, b, tau = _pair_with_commutator_type(plan, (target.count(1),), target.__eq__, rng)
         t = uniform_conjugator(tau, sigma, rng)
         return conjugate(a, t), conjugate(b, t)
-    n, fact, reps, sigma_inv = plan.n, plan.n_factorial, plan.class_reps, inverse(sigma)
-    randrange = rng.randrange
+    sigma_inv = inverse(sigma)
     while True:
-        k = randrange(len(parts))
-        mu, rep = parts[k], reps[k]
-        t = _decode_perm(randrange(fact), n)  # a = rep^t, uniform in mu
-        # a maps t[i] to t[rep[i]], so a*sigma fixes t[i] iff t[rep[i]] == sigma^-1[t[i]]
-        if sum([t[y] == sigma_inv[x] for x, y in zip(t, rep)]) != mu.count(1):
-            continue
-        a = conjugate(rep, t)
-        moved = compose(a, sigma)
-        if cycle_type(moved) == mu:
-            return a, uniform_conjugator(a, moved, rng)
+        k = rng.randrange(len(parts))
+        a = _class_trial(plan, k, sigma, sigma_inv, parts[k], rng)
+        if a is not None:
+            return a, uniform_conjugator(a, compose(a, sigma), rng)
 
 
 def sample_hom(plan: SamplerPlan, rng: random.Random) -> HomPoint:
     """One exactly uniform homomorphism point; HomPoint checks its relator.
 
-    The first block, of class K with weight W_K = |K| N_1(K) N_{g-1}(K), is with
-    probability bulk_mass / #points a uniform pair kept iff K is in the bulk set
-    and randrange(M) < N_{g-1}(K): P(class K) = (|K| N_1(K) / n!^2) (N_{g-1}(K)
-    / M), proportional to W_K; the pair, drawn with a class representative as
-    its first coordinate, is then conjugated by a uniform t. Otherwise a class
-    outside it is drawn by weight, then a uniform element and a uniform pair
-    with that commutator. Each mid block is a pair drawn by `_draw_mid_block`,
-    and the last block a uniform pair with the commutator that closes the
-    relator.
+    Every block before the last is drawn by `_draw_block`, given the product
+    so far, e before the first block, and the number of blocks after it. The
+    last block is a uniform pair with the commutator that closes the relator.
     """
-    n, genus = plan.n, plan.genus
-    r = rng.randrange(plan.total_weight)
-    if r < plan.bulk_mass:
-        get, limit = plan.bulk_thresholds.get, plan.bulk_limit
-        a, b, partial = _pair_with_commutator_type(
-            plan, plan.bulk_fixed, lambda mu: rng.randrange(limit) < get(mu, 0), rng
-        )
-        t = _decode_perm(rng.randrange(plan.n_factorial), n)  # uniform
-        a, b, partial = conjugate(a, t), conjugate(b, t), conjugate(partial, t)
-    else:
-        mu = plan.table.partitions[plan.rest_classes[bisect_right(plan.rest_cum, r)]]
-        partial = uniform_in_class(mu, n, rng)
-        a, b = _sample_commutator_fiber(plan, partial, rng)
-    images = [a, b]
-    for j in range(2, genus):
-        a, b, value = _draw_mid_block(plan, partial, genus - j, rng)
+    partial = identity(plan.n)
+    images = []
+    for remaining in range(plan.genus - 1, 0, -1):
+        a, b, value = _draw_block(plan, partial, remaining, rng)
         images += [a, b]
         partial = compose(partial, value)
-    a, b = _sample_commutator_fiber(plan, inverse(partial), rng)
-    images += [a, b]
-    return HomPoint(tuple(images), genus, n)
+    images += _sample_commutator_fiber(plan, inverse(partial), rng)
+    return HomPoint(tuple(images), plan.genus, plan.n)
 
 
-def _draw_mid_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng):
+def _draw_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng):
     """(a, b, value): the next commutator block, with value = [a, b], given the
-    product so far, for chains with at least two free blocks remaining.
+    product so far and `remaining` >= 1 blocks after it.
 
     The target law is P(a, b) proportional to N_remaining(partial*[a, b]), so
     P(value = v) ~ N_1(v) N_remaining(partial*v) and (a, b) is uniform on the
     fibre of v. With probability bulk_mass / N_{remaining+1}(partial) (see
-    `plan.mid_draw`) the block comes from the bulk: uniform pairs, a pair
-    (a_mu, b) as in the first block conjugated by a uniform t, each kept iff
-    c = N_remaining(partial*[a, b]) <= limit and randrange(limit) < c. A trial
-    keeps each pair of the bulk class pairs with probability c / (n!^2 limit)
-    and no other pair, so a kept pair has the target law restricted to the
-    bulk. Otherwise a class pair (u, s) outside the bulk is drawn by weight,
-    the value placed by `_place_mid_block` and the pair drawn from its fibre.
+    `plan.block_draw`) the block comes from the bulk: uniform pairs, a pair
+    (a_mu, b) conjugated by a uniform t, each kept iff c = N_remaining(partial*
+    [a, b]) <= limit and randrange(limit) < c. A trial keeps each pair of the
+    bulk class pairs with probability c / (n!^2 limit) and no other pair, so a
+    kept pair has the target law restricted to the bulk. The first block's
+    partial is e, so c depends only on the class of [a_mu, b]: its trials drop
+    a pair whose commutator has a fixed count no bulk class has before the
+    test, and draw t once a pair is kept. Otherwise a class pair (u, s)
+    outside the bulk is drawn by weight, the value placed by `_place_block` and
+    the pair drawn from its fibre. The split is drawn whenever the rest is
+    non-empty, and at the first block always; the pinned streams need both.
     """
     n, index = plan.n, plan.table.index
-    limit, bulk_mass, cum, pairs = plan.mid_draw(index[cycle_type(partial)], remaining)
-    r = rng.randrange(cum[-1]) if cum else 0
+    first = remaining == plan.genus - 1
+    limit, bulk_mass, cum, pairs = plan.block_draw(index[cycle_type(partial)], remaining)
+    r = rng.randrange(cum[-1] if cum else bulk_mass) if cum or first else 0
     if r >= bulk_mass:
         u_idx, s_idx = divmod(pairs[bisect_right(cum, r)], len(plan.table.partitions))
-        value = _place_mid_block(plan, partial, u_idx, s_idx, rng)
+        value = _place_block(plan, partial, u_idx, s_idx, rng)
         return (*_sample_commutator_fiber(plan, value, rng), value)
-    completions, randrange = plan.block_counts[remaining], rng.randrange
-    every_fixed_count = range(n + 1)
+    completions, randrange, fact = plan.block_counts[remaining], rng.randrange, plan.n_factorial
+    if first:
+        def accept(mu):
+            count = completions[index[mu]]
+            return randrange(limit) < (count if count <= limit else 0)
+        a, b, value = _pair_with_commutator_type(plan, plan.bulk_fixed, accept, rng)
+        t = _decode_perm(randrange(fact), n)  # uniform
+        return conjugate(a, t), conjugate(b, t), conjugate(value, t)
     while True:
-        a, b, c = _pair_with_commutator_type(plan, every_fixed_count, lambda mu: True, rng)
-        t = _decode_perm(randrange(plan.n_factorial), n)  # uniform
-        value = conjugate(c, t)
+        a = plan.class_reps[bisect_right(plan.class_cum, randrange(fact))]
+        b = _decode_perm(randrange(fact), n)
+        t = _decode_perm(randrange(fact), n)  # uniform
+        value = conjugate(commutator(a, b), t)
         count = completions[index[cycle_type(compose(partial, value))]]
         if count <= limit and randrange(limit) < count:
             return conjugate(a, t), conjugate(b, t), value
 
 
-def _place_mid_block(plan: SamplerPlan, partial: Permutation, u_idx: int, s_idx: int, rng):
+def _place_block(plan: SamplerPlan, partial: Permutation, u_idx: int, s_idx: int, rng):
     """Uniform u on A = {u in K_u : partial*u in K_s}, K_u and K_s the classes
     of index u_idx and s_idx.
 
@@ -638,18 +623,16 @@ def _place_mid_block(plan: SamplerPlan, partial: Permutation, u_idx: int, s_idx:
     partial^-1*v is in K_u, returning u = partial^-1*v. Both are exact, since
     u -> partial*u maps A one-to-one onto the kept v, and both keep |A| =
     F(u, s, r) elements, r the class of partial, so the smaller class K takes
-    fewer expected trials, |K| / F.
+    fewer expected trials, |K| / F. Each trial is a `_class_trial` on x*base,
+    which is conjugate to base*x.
     """
-    parts = plan.table.partitions
-    mu_u, mu_s = parts[u_idx], parts[s_idx]
     from_s = plan.table.class_sizes[s_idx] < plan.table.class_sizes[u_idx]
-    base, drawn, kept = (inverse(partial), mu_s, mu_u) if from_s else (partial, mu_u, mu_s)
-    ones = kept.count(1)
+    base, drawn, kept = (inverse(partial), s_idx, u_idx) if from_s else (partial, u_idx, s_idx)
+    base_inv, kept_type = inverse(base), plan.table.partitions[kept]
     while True:
-        x = uniform_in_class(drawn, plan.n, rng)
-        moved = compose(base, x)
-        if fix_count(moved) == ones and cycle_type(moved) == kept:
-            return moved if from_s else x
+        x = _class_trial(plan, drawn, base, base_inv, kept_type, rng)
+        if x is not None:
+            return compose(base, x) if from_s else x
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from surfcover.homspace import (
     sample_hom,
     stream_for,
     uniform_conjugator,
-    uniform_in_class,
 )
 from surfcover.observables import ObservableGroup, ObservableSpec, fixed_points, joint_moment
 from surfcover.perms import (
@@ -415,28 +414,38 @@ def test_uniform_conjugator_is_uniform_over_transporters(p, q, quantile):
 
 
 def test_uniform_in_class_is_uniform():
+    # a class trial with sigma = e keeps every element it draws
+    plan = get_sampler(4, 2)
     rng = stream_for(4)
-    mu = (2, 1, 1)
-    counts = Counter(uniform_in_class(mu, 4, rng) for _ in range(12000))
-    assert len(counts) == 6
+    mu, e = (2, 1, 1), identity(4)
+    k = plan.table.index[mu]
+    counts = Counter(homspace._class_trial(plan, k, e, e, mu, rng) for _ in range(12000))
+    assert len(counts) == 6 and None not in counts
+    assert {cycle_type(a) for a in counts} == {mu}
     for value in counts.values():
         assert abs(value - 2000) < 220  # ~5 sigma
 
 
+def _first_block_draw(plan):
+    """The first block's draw table, the entry (identity class, genus - 1)."""
+    return plan.block_draw(plan.table.index[(1,) * plan.n], plan.genus - 1)
+
+
 def test_sampler_plan_consistency():
+    # class K weighs |K| N_1(K) N_{g-1}(K): the bulk is (3,) alone, as (2, 1)
+    # has no commutator pairs, and the rest is the identity class
     plan = get_sampler(3, 2)
     assert plan.total_weight == 486
-    weights = dict(zip(plan.table.partitions, plan.first_block_weights))
-    assert weights[(1, 1, 1)] == 18 * 18
-    assert weights[(3,)] == 2 * 81
-    assert weights[(2, 1)] == 0
+    p, e = 3, plan.table.index[(1, 1, 1)]
+    limit, bulk_mass, cum, pairs = _first_block_draw(plan)
+    assert plan.bulk_fixed == {0} and bulk_mass == 2 * 81
+    assert cum == [2 * 81 + 18 * 18] and [divmod(f, p) for f in pairs] == [(e, e)]
     plan4 = get_sampler(4, 2)
     assert plan4.total_weight == hom_count(4, 2)
     # degenerate case: only the identity class carries weight when S_n is abelian
     plan2 = get_sampler(2, 2)
-    weights2 = dict(zip(plan2.table.partitions, plan2.first_block_weights))
-    assert weights2[(2,)] == 0
-    assert weights2[(1, 1)] == plan2.total_weight == 16
+    assert _first_block_draw(plan2)[1:3] == (16, [])
+    assert plan2.bulk_fixed == {2} and plan2.total_weight == 16
 
 
 def test_sample_hom_matches_support_and_is_deterministic():
@@ -529,32 +538,41 @@ def _fiber_trials(plan, k):
     return Fraction(len(plan.table.partitions) * plan.n_factorial, count)
 
 
-@pytest.mark.parametrize("n,genus", [(5, 3), (7, 3), (6, 4)])
+@pytest.mark.parametrize("n,genus", [(5, 3), (7, 3), (6, 4), (7, 2)])
 def test_mid_draw_matches_factorization_count_reference(n, genus):
+    # every mid-block entry, and the first block's: e with genus - 1 blocks after it
     plan = get_sampler(n, genus)
-    p = len(plan.table.partitions)
-    for remaining in range(1, genus - 1):
+    parts = plan.table.partitions
+    p, e = len(parts), plan.table.index[(1,) * n]
+    rows = [
+        (r_class, remaining, plan.block_counts[remaining + 1][r_class])
+        for remaining in range(1, genus - 1)
+        for r_class in range(p)
+    ]
+    for r_class, remaining, total in [*rows, (e, genus - 1, hom_count(n, genus))]:
         completions = plan.block_counts[remaining]
-        for r_class in range(p):
-            limit, bulk_mass, cum, pairs = plan.mid_draw(r_class, remaining)
-            weights, ref_pairs = _mid_draw_reference(plan, r_class, remaining)
-            rest = [(w, (u, s)) for w, (u, s) in zip(weights, ref_pairs) if completions[s] > limit]
-            assert bulk_mass == sum(weights) - sum(w for w, _ in rest)
-            assert cum == list(itertools.accumulate((w for w, _ in rest), initial=bulk_mass))[1:]
-            assert [divmod(i, p) for i in pairs] == [pair for _, pair in rest]
-            assert (cum[-1] if cum else bulk_mass) == plan.block_counts[remaining + 1][r_class]
-            if not weights:
-                continue
+        limit, bulk_mass, cum, pairs = plan.block_draw(r_class, remaining)
+        weights, ref_pairs = _mid_draw_reference(plan, r_class, remaining)
+        rest = [(w, (u, s)) for w, (u, s) in zip(weights, ref_pairs) if completions[s] > limit]
+        assert bulk_mass == sum(weights) - sum(w for w, _ in rest)
+        assert cum == list(itertools.accumulate((w for w, _ in rest), initial=bulk_mass))[1:]
+        assert [divmod(i, p) for i in pairs] == [pair for _, pair in rest]
+        assert (cum[-1] if cum else bulk_mass) == total
+        if not weights:
+            continue
 
-            def cost(m):  # the total weight times the expected trials, placement left out
-                outside = sum(
-                    w * _fiber_trials(plan, u)
-                    for w, (u, s) in zip(weights, ref_pairs)
-                    if completions[s] > m
-                )
-                return plan.n_factorial**2 * m + outside
+        def cost(m):  # the total weight times the expected trials, placement left out
+            outside = sum(
+                w * _fiber_trials(plan, u)
+                for w, (u, s) in zip(weights, ref_pairs)
+                if completions[s] > m
+            )
+            return plan.n_factorial**2 * m + outside
 
-            assert limit == min(sorted({completions[s] for _, s in ref_pairs}), key=cost)
+        assert limit == min(sorted({completions[s] for _, s in ref_pairs}), key=cost)
+    # the first block's pairs are diagonal; its trials pass the fixed counts of its bulk
+    assert all(u == s for u, s in ref_pairs)
+    assert plan.bulk_fixed == {parts[u].count(1) for _, u in ref_pairs if completions[u] <= limit}
 
 
 # The support of every mid block at n = 5 is A_5 for every even partial, so a
@@ -563,9 +581,14 @@ MID_LAW_QUANTILE = 98.32
 
 
 def _mid_block_law(plan, partial, remaining, perms):
-    """P(u | r) = N_1(K_u) N_remaining(K_{r u}) / N_{remaining+1}(K_r) for every u."""
+    """P(u | r) = N_1(K_u) N_remaining(K_{r u}) / N_{remaining+1}(K_r) for every
+    u; the first block's r is e, and N_genus(e) is the point count."""
     index = plan.table.index
-    total = plan.block_counts[remaining + 1][index[cycle_type(partial)]]
+    if remaining == plan.genus - 1:
+        assert partial == identity(plan.n)
+        total = plan.total_weight
+    else:
+        total = plan.block_counts[remaining + 1][index[cycle_type(partial)]]
     law = {}
     for u in perms:
         count = (
@@ -583,14 +606,17 @@ def _chi2(counts, law, samples):
     return sum((counts[u] - samples * p) ** 2 / (samples * p) for u, p in law.items())
 
 
-@pytest.mark.parametrize("genus,remaining", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("genus,remaining", [(2, 1), (3, 1), (4, 2)])
 def test_mid_block_value_law(genus, remaining):
-    # the value of _draw_mid_block over all of S_5, bulk and rest together, for
-    # partial each class representative; an odd partial has no completion
+    # the value of _draw_block over all of S_5, bulk and rest together, for
+    # partial each class representative; an odd partial has no completion.
+    # At genus 2 the block is the first, and its partial is e.
     plan = get_sampler(5, genus)
     perms = list(itertools.permutations(range(5)))
     for k, rep in enumerate(plan.class_reps):
-        if plan.block_counts[remaining + 1][k] == 0:
+        if remaining == genus - 1 and rep != identity(5):
+            continue
+        if remaining < genus - 1 and plan.block_counts[remaining + 1][k] == 0:
             assert (5 - len(cycle_type(rep))) % 2 == 1
             continue
         law = _mid_block_law(plan, rep, remaining, perms)
@@ -599,7 +625,7 @@ def test_mid_block_value_law(genus, remaining):
         samples = 10_000
         counts = Counter()
         for _ in range(samples):
-            a, b, value = homspace._draw_mid_block(plan, rep, remaining, rng)
+            a, b, value = homspace._draw_block(plan, rep, remaining, rng)
             assert commutator(a, b) == value
             counts[value] += 1
         # the rest draws only v = rep^-1, whose product has the most completions
@@ -626,7 +652,7 @@ def test_mid_block_pair_law(mu):
     samples = 40_000
     counts = Counter()
     for _ in range(samples):
-        a, b, value = homspace._draw_mid_block(plan, partial, 1, rng)
+        a, b, value = homspace._draw_block(plan, partial, 1, rng)
         assert commutator(a, b) == value
         counts[a, b] += 1
     assert _chi2(counts, law, samples) < 685.52
@@ -635,16 +661,17 @@ def test_mid_block_pair_law(mu):
 @pytest.mark.parametrize("genus,remaining", [(3, 1), (4, 2)])
 def test_mid_block_placement_law(monkeypatch, genus, remaining):
     # The class pair (u, s) drawn by its full weight, bulk included, then the
-    # block placed by _place_mid_block: u follows the law of the mid block.
+    # block placed by _place_block: u follows the law of the mid block.
     plan = get_sampler(5, genus)
     sizes, index = plan.table.class_sizes, plan.table.index
     drawn_from = []
+    class_trial = homspace._class_trial
 
-    def recording(mu, n, rng):
-        drawn_from.append(mu)
-        return uniform_in_class(mu, n, rng)
+    def recording(plan, k, sigma, sigma_inv, kept, rng):
+        drawn_from.append(k)
+        return class_trial(plan, k, sigma, sigma_inv, kept, rng)
 
-    monkeypatch.setattr(homspace, "uniform_in_class", recording)
+    monkeypatch.setattr(homspace, "_class_trial", recording)
     sides = Counter()
     perms = list(itertools.permutations(range(5)))
     for mu in [(1, 1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (5,)]:
@@ -657,10 +684,10 @@ def test_mid_block_placement_law(monkeypatch, genus, remaining):
         counts = Counter()
         for u_idx, s_idx in rng.choices(pairs, weights, k=samples):
             drawn_from.clear()
-            u = homspace._place_mid_block(plan, partial, u_idx, s_idx, rng)
+            u = homspace._place_block(plan, partial, u_idx, s_idx, rng)
             assert (index[cycle_type(u)], index[cycle_type(compose(partial, u))]) == (u_idx, s_idx)
             from_s = sizes[s_idx] < sizes[u_idx]
-            assert set(drawn_from) == {plan.table.partitions[s_idx if from_s else u_idx]}
+            assert set(drawn_from) == {s_idx if from_s else u_idx}
             sides[from_s] += 1
             counts[u] += 1
         assert _chi2(counts, law, samples) < MID_LAW_QUANTILE
@@ -681,26 +708,49 @@ class _FixedDraw:
 
 
 def test_mid_block_rest_draw_follows_its_cumulative_weights(monkeypatch):
-    # both ends of each rest pair's interval of cum place that pair
+    # both ends of each rest pair's interval of cum place that pair, at every
+    # mid block and at the first block, whose partial is e
     plan = get_sampler(8, 3)
-    p = len(plan.table.partitions)
+    p, e = len(plan.table.partitions), plan.table.index[(1,) * 8]
     placed = []
 
     def place(plan, partial, u_idx, s_idx, rng):
         placed.append((u_idx, s_idx))
         raise _Placed
 
-    monkeypatch.setattr(homspace, "_place_mid_block", place)
+    monkeypatch.setattr(homspace, "_place_block", place)
     rest_pairs = 0
-    for r_class, rep in enumerate(plan.class_reps):
-        limit, bulk_mass, cum, pairs = plan.mid_draw(r_class, 1)
+    for r_class, remaining in [*((r, 1) for r in range(p)), (e, 2)]:
+        limit, bulk_mass, cum, pairs = plan.block_draw(r_class, remaining)
         for low, high, flat in zip([bulk_mass, *cum], cum, pairs):
             for value in (low, high - 1):
                 with pytest.raises(_Placed):
-                    homspace._draw_mid_block(plan, rep, 1, _FixedDraw(value))
+                    homspace._draw_block(plan, plan.class_reps[r_class], remaining, _FixedDraw(value))
                 assert placed.pop() == divmod(flat, p)
         rest_pairs += len(pairs)
-    assert rest_pairs > len(plan.class_reps)
+    assert rest_pairs > p + 1
+    assert len(pairs) == 1  # the first block's rest at (8, 3)
+
+
+def test_class_trial_keeps_exactly_the_elements_of_the_kept_type():
+    # every t of S_5 drawn once: the fixed-point pretest on t must never drop an
+    # element that the full type test keeps, and nothing else is kept
+    plan = get_sampler(5, 2)
+    sigmas = [(1, 2, 0, 4, 3), (3, 0, 4, 1, 2), (2, 4, 3, 0, 1), identity(5)]
+    kept_types = [(3, 1, 1), (2, 2, 1), (5,), (1, 1, 1, 1, 1)]
+    outcomes = Counter()
+    for k, rep in enumerate(plan.class_reps):
+        for sigma in sigmas:
+            for kept in kept_types:
+                for code in range(plan.n_factorial):
+                    a = conjugate(rep, homspace._decode_perm(code, 5))
+                    expected = a if cycle_type(compose(a, sigma)) == kept else None
+                    trial = homspace._class_trial(
+                        plan, k, sigma, inverse(sigma), kept, _FixedDraw(code)
+                    )
+                    assert trial == expected
+                    outcomes[expected is not None] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 def _expected_mid_block_trials(plan):
@@ -720,7 +770,7 @@ def _expected_mid_block_trials(plan):
             p_r = Fraction(size * counts[done][r] * total, plan.total_weight)
             if not p_r:
                 continue
-            limit, bulk_mass, cum, pairs = plan.mid_draw(r, remaining)
+            limit, bulk_mass, cum, pairs = plan.block_draw(r, remaining)
             bulk += p_r * Fraction(plan.n_factorial**2 * limit, total)
             for low, high, flat in zip([bulk_mass, *cum], cum, pairs):
                 u, s = divmod(flat, p)
@@ -747,46 +797,20 @@ def test_mid_block_trials_from_the_smaller_class(n, genus, bulk, placement, fibr
     assert [round(float(x), 2) for x in expected] == [bulk, placement, fibre]
 
 
-def _bulk_limit_reference(plan):
-    """The bulk limit M, by costing every candidate against every live class."""
-    stage = plan.block_counts[plan.genus - 1]
-    live = [k for k, w in enumerate(plan.first_block_weights) if w]
-
-    def cost(m):  # T times the expected first-block trials
-        outside = sum(
-            plan.first_block_weights[k] * _fiber_trials(plan, k) for k in live if stage[k] > m
-        )
-        return plan.n_factorial**2 * m + outside
-
-    return min(sorted({stage[k] for k in live}), key=cost)
-
-
-@pytest.mark.parametrize("n,genus", [(7, 2), (6, 3), (16, 2), (10, 3)])
-def test_first_block_bulk_set(n, genus):
-    plan = get_sampler(n, genus)
-    stage, weights = plan.block_counts[genus - 1], plan.first_block_weights
-    live = [k for k, w in enumerate(weights) if w]
-    bulk = [k for k in live if stage[k] <= plan.bulk_limit]
-    assert plan.bulk_thresholds == {plan.table.partitions[k]: stage[k] for k in bulk}
-    assert plan.bulk_mass == sum(weights[k] for k in bulk)
-    assert plan.rest_classes == tuple(k for k in live if k not in bulk)
-    rest_weights = [weights[k] for k in plan.rest_classes]
-    assert plan.rest_cum == list(itertools.accumulate(rest_weights, initial=plan.bulk_mass))[1:]
-    assert plan.bulk_mass + sum(rest_weights) == plan.total_weight
-    assert plan.bulk_limit == _bulk_limit_reference(plan)
-
-
 @pytest.mark.parametrize("n,genus,rest,quantile", [(7, 2, 1, 24.32), (6, 3, 1, 20.52)])
 def test_first_block_class_frequencies(n, genus, rest, quantile):
     # quantile: the 0.999 point of chi-square with (live classes - 1) degrees of freedom
     plan = get_sampler(n, genus)
-    assert len(plan.rest_classes) == rest  # both the bulk and the rest branch run
+    assert len(_first_block_draw(plan)[3]) == rest  # both the bulk and the rest branch run
     samples = 4000
     counts = Counter(
         cycle_type(commutator(*h.images[:2])) for h in sample_stream(plan, 17, samples)
     )
+    stage, sizes = plan.block_counts[genus - 1], plan.table.class_sizes
+    weights = [size * n_1 * c for size, n_1, c in zip(sizes, plan.pair_counts, stage)]
+    assert sum(weights) == plan.total_weight
     chi2 = 0.0
-    for mu, weight in zip(plan.table.partitions, plan.first_block_weights):
+    for mu, weight in zip(plan.table.partitions, weights):
         expected = samples * weight / plan.total_weight
         if weight:
             chi2 += (counts[mu] - expected) ** 2 / expected
