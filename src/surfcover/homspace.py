@@ -506,9 +506,7 @@ def _pair_with_commutator_type(plan: SamplerPlan, fixed_ok, accept, rng: random.
         # the commutator's fixed points are the a[b[i]] with a[b[i]] == b[a[i]]
         if sum([a[y] == b[x] for x, y in zip(a, b)]) not in fixed_ok:
             continue
-        inv_b = [0] * n
-        for i in range(n):
-            inv_b[b[i]] = i
+        inv_b = inverse(b)
         # commutator a^-1 b^-1 a b, left to right
         c = [b[a[inv_b[x]]] for x in rep_inverses[kidx]]
         if accept(cycle_type(c)):
@@ -605,10 +603,13 @@ def _draw_block(plan: SamplerPlan, partial: Permutation, remaining: int, rng):
         t = _decode_perm(randrange(fact), n)  # uniform
         return conjugate(a, t), conjugate(b, t), conjugate(value, t)
     while True:
-        a = plan.class_reps[bisect_right(plan.class_cum, randrange(fact))]
+        kidx = bisect_right(plan.class_cum, randrange(fact))
+        a, inv_a = plan.class_reps[kidx], plan.rep_inverses[kidx]
         b = _decode_perm(randrange(fact), n)
         t = _decode_perm(randrange(fact), n)  # uniform
-        value = conjugate(commutator(a, b), t)
+        inv_b = inverse(b)
+        # the commutator a^-1 b^-1 a b, conjugated by t
+        value = conjugate([b[a[inv_b[x]]] for x in inv_a], t)
         count = completions[index[cycle_type(compose(partial, value))]]
         if count <= limit and randrange(limit) < count:
             return conjugate(a, t), conjugate(b, t), value

@@ -538,7 +538,7 @@ def _fiber_trials(plan, k):
     return Fraction(len(plan.table.partitions) * plan.n_factorial, count)
 
 
-@pytest.mark.parametrize("n,genus", [(5, 3), (7, 3), (6, 4), (7, 2)])
+@pytest.mark.parametrize("n,genus", [(5, 3), (7, 3), (6, 4), (7, 2), (6, 3), (16, 2), (10, 3)])
 def test_mid_draw_matches_factorization_count_reference(n, genus):
     # every mid-block entry, and the first block's: e with genus - 1 blocks after it
     plan = get_sampler(n, genus)
