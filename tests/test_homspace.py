@@ -513,8 +513,8 @@ def test_sampler_genus_three_block_marginals_match_enumeration():
 
 
 def _mid_draw_reference(plan, r_class, remaining):
-    """The mid-block class-pair weights built from factorization_count, pair
-    by pair: (weights, pairs), pairs[i] = (u, s) in u-major order."""
+    """The block draw's class-pair weights built from factorization_count,
+    pair by pair: (weights, pairs), pairs[i] = (u, s) in u-major order."""
     parts = plan.table.partitions
     completions = plan.block_counts[remaining]
     weights, pairs = [], []
@@ -722,10 +722,11 @@ def test_mid_block_rest_draw_follows_its_cumulative_weights(monkeypatch):
     rest_pairs = 0
     for r_class, remaining in [*((r, 1) for r in range(p)), (e, 2)]:
         limit, bulk_mass, cum, pairs = plan.block_draw(r_class, remaining)
+        rep = plan.class_reps[r_class]
         for low, high, flat in zip([bulk_mass, *cum], cum, pairs):
             for value in (low, high - 1):
                 with pytest.raises(_Placed):
-                    homspace._draw_block(plan, plan.class_reps[r_class], remaining, _FixedDraw(value))
+                    homspace._draw_block(plan, rep, remaining, _FixedDraw(value))
                 assert placed.pop() == divmod(flat, p)
         rest_pairs += len(pairs)
     assert rest_pairs > p + 1
